@@ -1,7 +1,5 @@
 package ast
 
-import "sync"
-
 // Walk calls fn on e and every sub-expression of e in pre-order. If fn
 // returns false, the children of the current node are skipped.
 func Walk(e Expr, fn func(Expr) bool) {
@@ -58,25 +56,14 @@ type FieldRef struct {
 	Field string
 }
 
-// refSets holds the memoized reference sets of one expression.
+// refSets holds the reference sets of one expression.
 type refSets struct {
 	models map[string]bool
 	fields map[FieldRef]bool
 }
 
-// refCache memoizes ReferencedModels/ReferencedFields per expression node.
-// Policy ASTs are immutable once type-checked, and the migration engine
-// consults these sets for every policy in the schema on each structural
-// check, so each set is computed once per node and then shared. Entries
-// live for the process lifetime, bounded by the number of distinct policy
-// expressions.
-var refCache sync.Map // Expr -> *refSets
-
-func refsOf(e Expr) *refSets {
-	if v, ok := refCache.Load(e); ok {
-		return v.(*refSets)
-	}
-	r := &refSets{models: map[string]bool{}, fields: map[FieldRef]bool{}}
+func refsOf(e Expr) refSets {
+	r := refSets{models: map[string]bool{}, fields: map[FieldRef]bool{}}
 	Walk(e, func(e Expr) bool {
 		switch n := e.(type) {
 		case *FieldAccess:
@@ -94,23 +81,18 @@ func refsOf(e Expr) *refSets {
 		}
 		return true
 	})
-	v, _ := refCache.LoadOrStore(e, r)
-	return v.(*refSets)
+	return r
 }
 
 // ReferencedModels returns the names of models referenced by the expression
-// through Find or ById. The result is memoized and shared; callers must
-// treat the map as read-only, and must not call this before the expression
-// has been type-checked (the frozen result would miss receiver types used
-// by ReferencedFields on the same node).
+// through Find or ById.
 func ReferencedModels(e Expr) map[string]bool {
 	return refsOf(e).models
 }
 
 // ReferencedFields returns every model field the (type-checked) expression
 // reads, via direct access, Find clauses, or set-field traversal. It relies
-// on the types recorded by the checker to resolve receivers. The result is
-// memoized and shared; callers must treat the map as read-only.
+// on the types recorded by the checker to resolve receivers.
 func ReferencedFields(e Expr) map[FieldRef]bool {
 	return refsOf(e).fields
 }

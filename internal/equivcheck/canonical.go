@@ -81,7 +81,7 @@ func collectionDocs(db *store.DB, name string) []store.Doc {
 	if !ok {
 		return nil
 	}
-	return c.Find() // id-sorted clones
+	return c.Find() // in id order
 }
 
 func diffDocs(collection string, da, db store.Doc) *divergence {

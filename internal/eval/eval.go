@@ -172,11 +172,8 @@ func (ev *Evaluator) contains(e *env, p Principal, x ast.Expr) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		matched := false
-		ok := ev.DB.Collection(n.Model).Peek(p.ID, func(doc store.Doc) {
-			matched = store.MatchAll(doc, filters)
-		})
-		return ok && matched, nil
+		doc, ok := ev.DB.Collection(n.Model).Get(p.ID)
+		return ok && store.MatchAll(doc, filters), nil
 	case *ast.Map:
 		elems, err := ev.evalInstanceSet(e, n.Recv)
 		if err != nil {

@@ -108,10 +108,10 @@ func backfillAddField(cur *schema.Schema, db *store.DB, c *ast.AddField, nowUnix
 	swept := 0
 	watermark := after
 	for {
-		// FindAfter bounds the read-lock hold to one batch of clones, so a
-		// foreground writer queued behind it waits for at most one batch —
-		// unlike the stop-the-world path, which clones the whole collection
-		// under one lock hold.
+		// FindAfter binary-searches the watermark and bounds the read-lock
+		// hold to one batch, so a foreground writer queued behind it waits
+		// for at most one batch — unlike the stop-the-world path, which
+		// reads the whole collection under one lock hold.
 		docs := coll.FindAfter(watermark, batch)
 		if len(docs) == 0 {
 			return nil

@@ -174,26 +174,31 @@ func (c *Conn) ClearLazyMigration(model string) {
 	c.state.Store(&connState{schema: old.schema, ev: old.ev, policies: old.policies, lazy: lazy})
 }
 
-// augment lazily migrates a private document copy that predates the
-// in-flight backfill, returning whether it derived the field. The store is
-// NOT written — reads stay side-effect-free; persistence is the writer's
-// job (Update merges the derived value into its own record, and the sweep
-// catches documents no write touches). doc must be the caller's own clone
-// (Get and Find return clones), since it is modified in place.
-func (st *connState) augment(model string, doc store.Doc) (bool, error) {
+// augment lazily migrates a document that predates the in-flight
+// backfill: it returns a copy of doc carrying the derived field, and
+// whether it derived it. A document that needs no derivation is returned
+// as it is. Neither doc (shared with the store) nor the store is written —
+// reads stay side-effect-free; persistence is the writer's job (Update
+// merges the derived value into its own record, and the sweep catches
+// documents no write touches).
+func (st *connState) augment(model string, doc store.Doc) (store.Doc, bool, error) {
 	lf, ok := st.lazy[model]
 	if !ok {
-		return false, nil
+		return doc, false, nil
 	}
 	if _, present := doc[lf.field]; present {
-		return false, nil
+		return doc, false, nil
 	}
 	v, err := lf.compute(doc)
 	if err != nil {
-		return false, fmt.Errorf("orm: lazily migrating %s.%s: %w", model, lf.field, err)
+		return nil, false, fmt.Errorf("orm: lazily migrating %s.%s: %w", model, lf.field, err)
 	}
-	doc[lf.field] = v
-	return true, nil
+	out := make(store.Doc, len(doc)+1)
+	for k, x := range doc {
+		out[k] = x
+	}
+	out[lf.field] = v
+	return out, true, nil
 }
 
 // allowed dispatches one policy decision: the compiled closure when
@@ -273,18 +278,48 @@ func (e *PolicyError) Error() string {
 type Object struct {
 	Model string
 	ID    store.ID
-	// fields holds only readable values.
-	fields store.Doc
+	// fields are the model's declared fields; vals[i] holds the value of
+	// fields[i] when the principal may read it. Values are shared with the
+	// store, so they leave the Object only as copies.
+	fields []*schema.Field
+	vals   []slot
+}
+
+type slot struct {
+	v        store.Value
+	readable bool
 }
 
 // Get returns a field value and whether the principal could read it.
+// Sets are returned as the caller's own copy.
 func (o *Object) Get(field string) (store.Value, bool) {
-	v, ok := o.fields[field]
-	return v, ok
+	v, ok := o.shared(field)
+	if !ok {
+		return nil, false
+	}
+	return store.CloneValue(v), true
 }
 
-// Fields returns the readable fields (do not modify).
-func (o *Object) Fields() store.Doc { return o.fields }
+// shared is Get without the copy, for the ORM's own read-only use.
+func (o *Object) shared(field string) (store.Value, bool) {
+	for i, f := range o.fields {
+		if f.Name == field {
+			return o.vals[i].v, o.vals[i].readable
+		}
+	}
+	return nil, false
+}
+
+// Fields returns the readable fields as a new document the caller owns.
+func (o *Object) Fields() store.Doc {
+	out := make(store.Doc, len(o.fields))
+	for i, f := range o.fields {
+		if s := o.vals[i]; s.readable {
+			out[f.Name] = store.CloneValue(s.v)
+		}
+	}
+	return out
+}
 
 // FindByID fetches one instance, stripping unreadable fields. A missing
 // document returns (nil, nil): absence and denial are indistinguishable to
@@ -299,7 +334,7 @@ func (pr *Princ) FindByID(model string, id store.ID) (*Object, error) {
 	if !ok {
 		return nil, nil
 	}
-	lazied, err := st.augment(model, doc)
+	doc, lazied, err := st.augment(model, doc)
 	if err != nil {
 		return nil, err
 	}
@@ -336,7 +371,7 @@ func (pr *Princ) Find(model string, filters ...store.Filter) ([]*Object, error) 
 	docs := pr.conn.DB.Collection(model).Find(storeFilters...)
 	out := make([]*Object, 0, len(docs))
 	for _, doc := range docs {
-		lazied, err := st.augment(model, doc)
+		doc, lazied, err := st.augment(model, doc)
 		if err != nil {
 			return nil, err
 		}
@@ -357,7 +392,7 @@ func (pr *Princ) Find(model string, filters ...store.Filter) ([]*Object, error) 
 			if f.Field == schema.IDFieldName {
 				continue
 			}
-			if _, ok := obj.Get(f.Field); !ok {
+			if _, ok := obj.shared(f.Field); !ok {
 				visible = false
 				break
 			}
@@ -369,11 +404,17 @@ func (pr *Princ) Find(model string, filters ...store.Filter) ([]*Object, error) 
 	return out, nil
 }
 
-// strip applies read policies, producing a partial object.
+// strip applies read policies, producing a partial object. Only fields the
+// document carries can be readable: a field the bound schema declares but
+// the document lacks (the schema has flipped ahead of a backfill that has
+// not reached it) is absent, never a nil value.
 func (pr *Princ) strip(st *connState, m *schema.Model, doc store.Doc) (*Object, error) {
-	obj := &Object{Model: m.Name, ID: doc.ID(), fields: store.Doc{}}
+	obj := &Object{Model: m.Name, ID: doc.ID(), fields: m.Fields, vals: make([]slot, len(m.Fields))}
 	if !pr.conn.enforcement {
-		obj.fields = doc
+		for i, f := range m.Fields {
+			v, present := doc[f.Name]
+			obj.vals[i] = slot{v: v, readable: present}
+		}
 		return obj, nil
 	}
 	mp := st.policies.Model(m.Name)
@@ -384,6 +425,10 @@ func (pr *Princ) strip(st *connState, m *schema.Model, doc store.Doc) (*Object, 
 		defer frame.Release()
 	}
 	for i, f := range m.Fields {
+		v, present := doc[f.Name]
+		if !present {
+			continue
+		}
 		var cp *policyc.Policy
 		if mp != nil {
 			cp = mp.FieldAt(i).Read
@@ -394,7 +439,7 @@ func (pr *Princ) strip(st *connState, m *schema.Model, doc store.Doc) (*Object, 
 		}
 		pr.conn.metrics.RecordReadCheck(!ok)
 		if ok {
-			obj.fields[f.Name] = doc[f.Name]
+			obj.vals[i] = slot{v: v, readable: true}
 		}
 	}
 	return obj, nil
@@ -508,7 +553,7 @@ func (pr *Princ) Update(model string, id store.ID, fields store.Doc) error {
 		return fmt.Errorf("orm: no %s with id %v", model, id)
 	}
 	// Policy decisions are made against the post-migration shape.
-	lazied, err := st.augment(model, doc)
+	doc, lazied, err := st.augment(model, doc)
 	if err != nil {
 		return err
 	}
@@ -568,7 +613,8 @@ func (pr *Princ) Delete(model string, id store.ID) error {
 	}
 	// The delete policy, too, judges the post-migration shape; nothing is
 	// persisted for a document that is about to disappear.
-	if _, err := st.augment(model, doc); err != nil {
+	doc, _, err := st.augment(model, doc)
+	if err != nil {
 		return err
 	}
 	if pr.conn.enforcement {

@@ -3,6 +3,7 @@ package orm
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -67,6 +68,106 @@ func TestConcurrentORMAccess(t *testing.T) {
 			}
 		}(w)
 	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// TestSharedDocumentsRace runs every reader of shared stored documents —
+// the ORM with compiled policies (policyc), the ORM through the
+// interpreter (eval), backfill batches (FindAfter) and snapshots — against
+// every kind of store write. Readers walk every value they are handed.
+// Run with -race: a write that edits a stored document in place, instead
+// of installing a new one, races with these readers and is reported.
+func TestSharedDocumentsRace(t *testing.T) {
+	fx := newFixture(t)
+	db := fx.conn.DB
+	users, peeps := db.Collection("User"), db.Collection("Peep")
+	users.EnsureIndex("isAdmin")
+	interp := Open(fx.conn.Schema(), db)
+	interp.SetCompiledPolicies(false)
+	for i := 0; i < 8; i++ {
+		peeps.Insert(store.Doc{"author": fx.alice, "body": fmt.Sprintf("p%d", i)})
+	}
+
+	walk := func(d store.Doc) int {
+		n := 0
+		for _, v := range d {
+			if set, ok := v.([]store.Value); ok {
+				n += len(set)
+			}
+			n++
+		}
+		return n
+	}
+	const rounds = 200
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	run := func(f func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := f(i); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+
+	// Readers.
+	for _, conn := range []*Conn{fx.conn, interp} {
+		pr := conn.AsPrinc(user(fx.bob))
+		run(func(int) error {
+			obj, err := pr.FindByID("User", fx.alice)
+			if err != nil || obj == nil {
+				return fmt.Errorf("FindByID: %v %v", obj, err)
+			}
+			walk(obj.Fields())
+			objs, err := pr.Find("Peep", store.Eq("author", fx.alice))
+			for _, o := range objs {
+				walk(o.Fields())
+			}
+			return err
+		})
+	}
+	run(func(int) error {
+		for _, d := range users.FindAfter(store.Nil, 2) {
+			walk(d)
+		}
+		return nil
+	})
+	run(func(int) error { return db.Snapshot(io.Discard) })
+
+	// Writers: one of each kind.
+	alice := fx.conn.AsPrinc(user(fx.alice))
+	run(func(i int) error {
+		return alice.Update("User", fx.alice, store.Doc{"followers": []store.Value{fx.bob, store.ID(i)}})
+	})
+	run(func(i int) error { return users.Update(fx.bob, store.Doc{"pronouns": fmt.Sprint(i)}) })
+	run(func(i int) error {
+		_, err := users.UpdateIfAbsent(fx.admin, fmt.Sprintf("x%d", i), int64(i))
+		return err
+	})
+	run(func(i int) error {
+		users.UpdateAll(nil, func(d store.Doc) store.Doc { return store.Doc{"seen": int64(i)} })
+		users.RemoveField("seen")
+		return nil
+	})
+	run(func(i int) error {
+		id := peeps.Insert(store.Doc{"author": fx.alice, "body": "tmp"})
+		if err := peeps.InsertWithID(id+1_000_000, store.Doc{"author": fx.bob, "body": "tmp"}); err != nil {
+			return err
+		}
+		peeps.Delete(id)
+		peeps.Delete(id + 1_000_000)
+		peeps.EnsureIndex("author")
+		return nil
+	})
+
 	wg.Wait()
 	close(errs)
 	for err := range errs {

@@ -401,8 +401,8 @@ func (c *compiler) contains(sc *scope, x ast.Expr) (boolFn, error) {
 						return r.probes[i].verdict, nil
 					}
 				}
-				ok, matched := site.coll(r.db).PeekMatch(r.p.ID, plan)
-				v := ok && matched
+				doc, ok := site.coll(r.db).Get(r.p.ID)
+				v := ok && store.MatchAll(doc, plan)
 				if r.nprobes < maxProbes {
 					r.probes[r.nprobes] = probeEntry{site: site, verdict: v}
 					r.nprobes++
@@ -419,8 +419,8 @@ func (c *compiler) contains(sc *scope, x ast.Expr) (boolFn, error) {
 			if err != nil {
 				return false, err
 			}
-			ok, matched := site.coll(r.db).PeekMatch(r.p.ID, fs)
-			return ok && matched, nil
+			doc, ok := site.coll(r.db).Get(r.p.ID)
+			return ok && store.MatchAll(doc, fs), nil
 		}, nil
 	case *ast.Map:
 		recv, err := c.instanceSet(sc, n.Recv)

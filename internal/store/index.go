@@ -23,70 +23,74 @@ func indexKey(v Value) (any, bool) {
 
 type fieldIndex struct {
 	field string
-	// buckets maps an index key to the ids of documents holding it.
-	buckets map[any]map[ID]struct{}
-	// unkeyed holds ids whose field value is absent or un-keyable.
-	unkeyed map[ID]struct{}
+	// buckets maps an index key to the ascending ids of documents holding
+	// it, so an index probe yields candidates already in id order.
+	buckets map[any][]ID
+	// unkeyed holds, ascending, the ids whose field value is absent or
+	// un-keyable.
+	unkeyed []ID
 }
 
 func newFieldIndex(field string) *fieldIndex {
-	return &fieldIndex{
-		field:   field,
-		buckets: map[any]map[ID]struct{}{},
-		unkeyed: map[ID]struct{}{},
+	return &fieldIndex{field: field, buckets: map[any][]ID{}}
+}
+
+// key returns the document's index key; ok is false when the field is
+// absent or un-keyable.
+func (ix *fieldIndex) key(doc Doc) (any, bool) {
+	v, present := doc[ix.field]
+	if !present {
+		return nil, false
 	}
+	return indexKey(v)
 }
 
 func (ix *fieldIndex) add(id ID, doc Doc) {
-	v, present := doc[ix.field]
-	if !present {
-		ix.unkeyed[id] = struct{}{}
-		return
+	if key, ok := ix.key(doc); ok {
+		ix.buckets[key] = insertID(ix.buckets[key], id)
+	} else {
+		ix.unkeyed = insertID(ix.unkeyed, id)
 	}
-	key, ok := indexKey(v)
-	if !ok {
-		ix.unkeyed[id] = struct{}{}
-		return
-	}
-	b := ix.buckets[key]
-	if b == nil {
-		b = map[ID]struct{}{}
-		ix.buckets[key] = b
-	}
-	b[id] = struct{}{}
 }
 
 func (ix *fieldIndex) remove(id ID, doc Doc) {
-	delete(ix.unkeyed, id)
-	v, present := doc[ix.field]
-	if !present {
+	key, ok := ix.key(doc)
+	if !ok {
+		ix.unkeyed = removeID(ix.unkeyed, id)
 		return
 	}
-	if key, ok := indexKey(v); ok {
-		if b := ix.buckets[key]; b != nil {
-			delete(b, id)
-			if len(b) == 0 {
-				delete(ix.buckets, key)
-			}
-		}
+	if b := removeID(ix.buckets[key], id); len(b) > 0 {
+		ix.buckets[key] = b
+	} else {
+		delete(ix.buckets, key)
 	}
 }
 
-// candidates returns the ids possibly matching field == v, or ok=false when
-// the index cannot answer (un-keyable probe value).
+// update moves id between buckets when a write changes its key; a write
+// that leaves the indexed field's key alone costs no bucket edit.
+func (ix *fieldIndex) update(id ID, old, nd Doc) {
+	oldKey, oldOK := ix.key(old)
+	newKey, newOK := ix.key(nd)
+	if oldOK == newOK && oldKey == newKey {
+		return
+	}
+	ix.remove(id, old)
+	ix.add(id, nd)
+}
+
+// candidates returns the ids possibly matching field == v in ascending
+// order, or ok=false when the index cannot answer (un-keyable probe
+// value). The slice is the index's own: read it under the collection lock
+// and do not retain it.
 func (ix *fieldIndex) candidates(v Value) ([]ID, bool) {
 	key, ok := indexKey(v)
 	if !ok {
 		return nil, false
 	}
-	out := make([]ID, 0, len(ix.buckets[key])+len(ix.unkeyed))
-	for id := range ix.buckets[key] {
-		out = append(out, id)
-	}
 	// Unkeyed documents can never equal a keyable probe value, so they are
 	// excluded: a missing field matches no filter, and set/optional values
 	// do not compare equal to scalars.
-	return out, true
+	return ix.buckets[key], true
 }
 
 // EnsureIndex installs (or reuses) a hash index on the field and backfills
@@ -104,8 +108,8 @@ func (c *Collection) EnsureIndex(field string) {
 		return
 	}
 	ix := newFieldIndex(field)
-	for id, d := range c.docs {
-		ix.add(id, d)
+	for _, id := range c.ids {
+		ix.add(id, c.docs[id])
 	}
 	c.indexes[field] = ix
 	wait := c.db.logMutation(Mutation{Op: MutCreateIndex, Coll: c.name, Field: field})
@@ -124,13 +128,8 @@ func (c *Collection) Indexes() []string {
 	return out
 }
 
-// indexAdd/indexRemove maintain every index; callers hold the write lock.
-func (c *Collection) indexAdd(id ID, doc Doc) {
-	for _, ix := range c.indexes {
-		ix.add(id, doc)
-	}
-}
-
+// indexRemove drops a deleted document from every index; callers hold the
+// write lock.
 func (c *Collection) indexRemove(id ID, doc Doc) {
 	for _, ix := range c.indexes {
 		ix.remove(id, doc)

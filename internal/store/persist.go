@@ -1,10 +1,13 @@
 package store
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
 )
 
 // Snapshot / Restore give the in-memory store durability: the full database
@@ -141,7 +144,7 @@ func (db *DB) Snapshot(w io.Writer) error { return db.SnapshotCut(w, nil) }
 // logging it. The WAL uses the hook to rotate segments exactly at the
 // snapshot boundary during compaction.
 func (db *DB) SnapshotCut(w io.Writer, cut func()) error {
-	file, err := db.capture(cut)
+	file, err := db.capture(cut).encode()
 	if err != nil {
 		return err
 	}
@@ -150,11 +153,27 @@ func (db *DB) SnapshotCut(w io.Writer, cut func()) error {
 	return enc.Encode(file)
 }
 
-// capture encodes the database under a full lock set: the DB lock plus
-// every collection lock, acquired in sorted name order before any document
-// is read. Encoding deep-copies values into JSON bytes, so the result is
-// immune to mutations after release.
-func (db *DB) capture(cut func()) (*snapshotFile, error) {
+// cutState is a database captured at a cut: per collection, its indexes
+// and its (id, document) pairs in id order. Stored documents are never
+// modified, so the pairs stay a faithful image of the cut after the locks
+// are released and writers move on.
+type cutState struct {
+	nextID int64
+	names  []string
+	colls  []cutColl
+}
+
+type cutColl struct {
+	indexes []string
+	ids     []ID
+	docs    []Doc
+}
+
+// capture takes the cut under a full lock set: the DB lock plus every
+// collection lock, acquired in sorted name order before any document is
+// read. Only pointers are copied while writers wait; encoding happens
+// after release.
+func (db *DB) capture(cut func()) *cutState {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	names := make([]string, 0, len(db.colls))
@@ -173,32 +192,45 @@ func (db *DB) capture(cut func()) (*snapshotFile, error) {
 		cut()
 	}
 
+	st := &cutState{nextID: db.nextID.Load(), names: names, colls: make([]cutColl, len(colls))}
+	for i, c := range colls {
+		cc := cutColl{ids: slices.Clone(c.ids), docs: make([]Doc, len(c.ids))}
+		for f := range c.indexes {
+			cc.indexes = append(cc.indexes, f)
+		}
+		for j, id := range c.ids {
+			cc.docs[j] = c.docs[id]
+		}
+		st.colls[i] = cc
+	}
+	return st
+}
+
+// encode renders a captured cut in the snapshot layout.
+func (st *cutState) encode() (*snapshotFile, error) {
 	file := &snapshotFile{
 		Version:     1,
-		NextID:      db.nextID.Load(),
-		Collections: map[string]collectionSnap{},
+		NextID:      st.nextID,
+		Collections: make(map[string]collectionSnap, len(st.names)),
 	}
-	for i, c := range colls {
-		snap := collectionSnap{Docs: map[string]docSnap{}}
-		for f := range c.indexes {
-			snap.Indexes = append(snap.Indexes, f)
-		}
+	for i, cc := range st.colls {
+		snap := collectionSnap{Indexes: cc.indexes, Docs: make(map[string]docSnap, len(cc.docs))}
 		sort.Strings(snap.Indexes)
-		for id, d := range c.docs {
+		for j, id := range cc.ids {
 			ds := docSnap{}
-			for k, v := range d {
+			for k, v := range cc.docs[j] {
 				if k == "id" {
 					continue // implicit in the key
 				}
 				tv, err := encodeValue(v)
 				if err != nil {
-					return nil, fmt.Errorf("collection %s doc %v field %s: %w", names[i], id, k, err)
+					return nil, fmt.Errorf("collection %s doc %v field %s: %w", st.names[i], id, k, err)
 				}
 				ds[k] = tv
 			}
-			snap.Docs[fmt.Sprint(int64(id))] = ds
+			snap.Docs[strconv.FormatInt(int64(id), 10)] = ds
 		}
-		file.Collections[names[i]] = snap
+		file.Collections[st.names[i]] = snap
 	}
 	return file, nil
 }
@@ -254,6 +286,11 @@ func Restore(r io.Reader) (*DB, error) {
 		for _, field := range snap.Indexes {
 			c.EnsureIndex(field)
 		}
+		type entry struct {
+			id  ID
+			doc Doc
+		}
+		docs := make([]entry, 0, len(snap.Docs))
 		for idStr, ds := range snap.Docs {
 			var idNum int64
 			if _, err := fmt.Sscan(idStr, &idNum); err != nil {
@@ -267,7 +304,12 @@ func Restore(r io.Reader) (*DB, error) {
 				}
 				doc[k] = v
 			}
-			if err := c.InsertWithID(ID(idNum), doc); err != nil {
+			docs = append(docs, entry{ID(idNum), doc})
+		}
+		// Inserted in id order, every document appends to the id order.
+		slices.SortFunc(docs, func(a, b entry) int { return cmp.Compare(a.id, b.id) })
+		for _, e := range docs {
+			if err := c.InsertWithID(e.id, e.doc); err != nil {
 				return nil, err
 			}
 		}

@@ -130,9 +130,9 @@ func TestMarshalDocRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotConsistentCut runs writers that keep an invariant across two
-// collections (equal counters inserted into both) while snapshots are
-// taken concurrently. Every restored snapshot must satisfy the invariant:
+// TestSnapshotConsistentCut runs a writer that keeps an invariant across
+// two collections (paired inserts and deletes) while snapshots are taken
+// concurrently. Every restored snapshot must satisfy the invariant:
 // the cut never splits a writer's pair of mutations across collections it
 // already locked... i.e. Snapshot sees a point-in-time state.
 func TestSnapshotConsistentCut(t *testing.T) {
@@ -141,19 +141,29 @@ func TestSnapshotConsistentCut(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Writer: appends i to a, then i to b. Invariant for any consistent
-	// cut: len(a) >= len(b) and the common prefix matches.
+	// Writer: a sliding window of W live pairs, so the database stays
+	// small however far the writer outruns the snapshots. Each step
+	// inserts a_i, inserts b_i, deletes b_{i-W}, then deletes a_{i-W}.
+	// Invariant for any consistent cut: 0 <= len(a) - len(b) <= 1.
+	const window = 64
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		var as, bs [window]ID
 		for i := int64(0); ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			a.Insert(Doc{"seq": i})
-			b.Insert(Doc{"seq": i})
+			slot := i % window
+			oldA, oldB := as[slot], bs[slot]
+			as[slot] = a.Insert(Doc{"seq": i})
+			bs[slot] = b.Insert(Doc{"seq": i})
+			if i >= window {
+				b.Delete(oldB)
+				a.Delete(oldA)
+			}
 		}
 	}()
 

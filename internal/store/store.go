@@ -7,6 +7,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,27 +39,34 @@ func None() Optional { return Optional{} }
 
 // Doc is a single document: field name to value. The "id" field is
 // maintained by the store.
+//
+// Documents the store returns are shared with it and with every other
+// reader: they are read-only, and a caller that needs to change one builds
+// its own copy (Clone). The store never modifies a stored document either;
+// a write installs a new one, so a document a reader holds never changes.
 type Doc map[string]Value
 
 // Clone returns a deep copy of the document.
 func (d Doc) Clone() Doc {
 	out := make(Doc, len(d))
 	for k, v := range d {
-		out[k] = cloneValue(v)
+		out[k] = CloneValue(v)
 	}
 	return out
 }
 
-func cloneValue(v Value) Value {
+// CloneValue returns a deep copy of a value: sets, and Optionals wrapping
+// them, are copied; scalars are returned as they are.
+func CloneValue(v Value) Value {
 	switch x := v.(type) {
 	case []Value:
 		out := make([]Value, len(x))
 		for i, e := range x {
-			out[i] = cloneValue(e)
+			out[i] = CloneValue(e)
 		}
 		return out
 	case Optional:
-		return Optional{Present: x.Present, Value: cloneValue(x.Value)}
+		return Optional{Present: x.Present, Value: CloneValue(x.Value)}
 	default:
 		return v
 	}
@@ -97,9 +105,13 @@ func Eq(field string, v Value) Filter { return Filter{Field: field, Op: FilterEq
 
 // Collection is a named set of documents.
 type Collection struct {
-	mu      sync.RWMutex
-	name    string
-	docs    map[ID]Doc
+	mu   sync.RWMutex
+	name string
+	docs map[ID]Doc
+	// ids holds the keys of docs in ascending order. Ids are allocated
+	// monotonically, so inserts append; scans read documents in id order
+	// without sorting.
+	ids     []ID
 	db      *DB
 	indexes map[string]*fieldIndex
 	dropped atomic.Bool
@@ -143,9 +155,9 @@ type WaitFunc func() error
 // Durability receives every mutation the store commits. Append is called
 // with the mutated collection's lock held, so the record order equals the
 // store's serialization order; implementations must only enqueue (and
-// serialise the Doc synchronously — it aliases caller memory) and defer all
-// I/O to the returned wait function, which the store invokes after
-// releasing the lock and before acknowledging the write.
+// serialise the Doc synchronously — for updates it aliases caller memory)
+// and defer all I/O to the returned wait function, which the store invokes
+// after releasing the lock and before acknowledging the write.
 type Durability interface {
 	Append(m Mutation) WaitFunc
 }
@@ -297,8 +309,7 @@ func (c *Collection) Insert(doc Doc) ID {
 	cp := doc.Clone()
 	cp["id"] = id
 	c.mu.Lock()
-	c.docs[id] = cp
-	c.indexAdd(id, cp)
+	c.put(id, cp)
 	wait := c.db.logMutation(Mutation{Op: MutInsert, Coll: c.name, ID: id, Doc: cp})
 	c.mu.Unlock()
 	c.db.finish(wait)
@@ -315,74 +326,107 @@ func (c *Collection) InsertWithID(id ID, doc Doc) error {
 		c.mu.Unlock()
 		return fmt.Errorf("store: id %v already exists in %s", id, c.name)
 	}
-	c.docs[id] = cp
-	c.indexAdd(id, cp)
+	c.put(id, cp)
 	wait := c.db.logMutation(Mutation{Op: MutInsert, Coll: c.name, ID: id, Doc: cp})
 	c.mu.Unlock()
 	c.db.finish(wait)
 	return c.db.DurabilityErr()
 }
 
-// Get returns a copy of the document with the given id.
-func (c *Collection) Get(id ID) (Doc, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	d, ok := c.docs[id]
-	if !ok {
-		return nil, false
+// put adds a new document; the caller holds the write lock.
+func (c *Collection) put(id ID, d Doc) {
+	c.docs[id] = d
+	c.ids = insertID(c.ids, id)
+	for _, ix := range c.indexes {
+		ix.add(id, d)
 	}
-	return d.Clone(), true
 }
 
-// Find returns copies of all documents matching every filter, in id order.
-// Equality filters on indexed fields probe the index instead of scanning.
+// replace swaps in nd as the document with id, leaving the old document
+// untouched for readers still holding it; the caller holds the write lock.
+func (c *Collection) replace(id ID, old, nd Doc) {
+	c.docs[id] = nd
+	for _, ix := range c.indexes {
+		ix.update(id, old, nd)
+	}
+}
+
+// withFields returns a copy of d with fields written over it. The id is
+// immutable and skipped. Values d shares with the copy are never modified,
+// so the copy is shallow.
+func withFields(d, fields Doc) Doc {
+	nd := make(Doc, len(d)+len(fields))
+	for k, v := range d {
+		nd[k] = v
+	}
+	for k, v := range fields {
+		if k != "id" {
+			nd[k] = CloneValue(v)
+		}
+	}
+	return nd
+}
+
+// Get returns the document with the given id. The document is shared and
+// must not be modified (see Doc).
+func (c *Collection) Get(id ID) (Doc, bool) {
+	c.mu.RLock()
+	d, ok := c.docs[id]
+	c.mu.RUnlock()
+	return d, ok
+}
+
+// Find returns all documents matching every filter, in id order. Equality
+// filters on indexed fields probe the index instead of scanning. The
+// documents are shared and must not be modified.
 func (c *Collection) Find(filters ...Filter) []Doc {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	ids, probed := c.indexProbe(filters)
+	if !probed {
+		ids = c.ids
+	}
 	var out []Doc
-	if ids, ok := c.indexProbe(filters); ok {
-		for _, id := range ids {
-			d := c.docs[id]
-			if d != nil && matchAll(d, filters) {
-				out = append(out, d.Clone())
-			}
-		}
-	} else {
-		for _, d := range c.docs {
-			if matchAll(d, filters) {
-				out = append(out, d.Clone())
-			}
+	if probed || len(filters) == 0 {
+		// Every candidate is likely a match.
+		out = make([]Doc, 0, len(ids))
+	}
+	for _, id := range ids {
+		if d := c.docs[id]; matchAll(d, filters) {
+			out = append(out, d)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
 }
 
-// FindAfter returns copies of at most limit documents whose id exceeds
-// after, in ascending id order. It is the online-backfill scan primitive:
-// the lock is held only to collect ids and clone the bounded batch, so a
-// foreground reader or writer is never blocked behind a whole-collection
-// clone the way Find blocks it. Documents inserted later with higher ids
-// are picked up by subsequent calls, which is exactly what a watermark
-// sweep over a live collection needs. A limit <= 0 means no bound.
+// FindAfter returns at most limit documents whose id exceeds after, in
+// ascending id order. It is the online-backfill scan primitive: a binary
+// search over the id order finds the watermark, so each batch costs
+// O(log N + limit) and holds the read lock only that long. Documents
+// inserted later with higher ids are picked up by subsequent calls, which
+// is exactly what a watermark sweep over a live collection needs. A limit
+// <= 0 means no bound. The documents are shared and must not be modified.
 func (c *Collection) FindAfter(after ID, limit int) []Doc {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	ids := make([]ID, 0, len(c.docs))
-	for id := range c.docs {
-		if id > after {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := c.ids[c.after(after):]
 	if limit > 0 && len(ids) > limit {
 		ids = ids[:limit]
 	}
-	out := make([]Doc, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, c.docs[id].Clone())
+	out := make([]Doc, len(ids))
+	for i, id := range ids {
+		out[i] = c.docs[id]
 	}
 	return out
+}
+
+// after returns the position in c.ids of the first id above the given one.
+func (c *Collection) after(id ID) int {
+	i, found := slices.BinarySearch(c.ids, id)
+	if found {
+		i++
+	}
+	return i
 }
 
 // UpdateIfAbsent sets field to v on the document with id only when the
@@ -394,6 +438,7 @@ func (c *Collection) FindAfter(after ID, limit int) []Doc {
 // foreground deletes, and a deleted document simply no longer needs the
 // field.
 func (c *Collection) UpdateIfAbsent(id ID, field string, v Value) (bool, error) {
+	fields := Doc{field: v}
 	c.mu.Lock()
 	d, ok := c.docs[id]
 	if !ok {
@@ -404,10 +449,8 @@ func (c *Collection) UpdateIfAbsent(id ID, field string, v Value) (bool, error) 
 		c.mu.Unlock()
 		return false, nil
 	}
-	c.indexRemove(id, d)
-	d[field] = cloneValue(v)
-	c.indexAdd(id, d)
-	wait := c.db.logMutation(Mutation{Op: MutUpdate, Coll: c.name, ID: id, Doc: Doc{field: d[field]}})
+	c.replace(id, d, withFields(d, fields))
+	wait := c.db.logMutation(Mutation{Op: MutUpdate, Coll: c.name, ID: id, Doc: fields})
 	c.mu.Unlock()
 	c.db.finish(wait)
 	return true, c.db.DurabilityErr()
@@ -417,17 +460,16 @@ func (c *Collection) UpdateIfAbsent(id ID, field string, v Value) (bool, error) 
 func (c *Collection) Count(filters ...Filter) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	n := 0
-	if ids, ok := c.indexProbe(filters); ok {
-		for _, id := range ids {
-			if d := c.docs[id]; d != nil && matchAll(d, filters) {
-				n++
-			}
+	ids, ok := c.indexProbe(filters)
+	if !ok {
+		if len(filters) == 0 {
+			return len(c.ids)
 		}
-		return n
+		ids = c.ids
 	}
-	for _, d := range c.docs {
-		if matchAll(d, filters) {
+	n := 0
+	for _, id := range ids {
+		if matchAll(c.docs[id], filters) {
 			n++
 		}
 	}
@@ -435,18 +477,12 @@ func (c *Collection) Count(filters ...Filter) int {
 }
 
 // CountAfter returns the number of documents with id > after. Backfills
-// use it for cheap remaining-work gauges: it scans ids without cloning
-// documents, so the read lock is held only for the scan.
+// use it for cheap remaining-work gauges: a binary search over the id
+// order, reading no document.
 func (c *Collection) CountAfter(after ID) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	n := 0
-	for id := range c.docs {
-		if id > after {
-			n++
-		}
-	}
-	return n
+	return len(c.ids) - c.after(after)
 }
 
 // Update overwrites the given fields of the document with id. It fails if
@@ -458,14 +494,7 @@ func (c *Collection) Update(id ID, fields Doc) error {
 		c.mu.Unlock()
 		return fmt.Errorf("store: no document %v in %s", id, c.name)
 	}
-	c.indexRemove(id, d)
-	for k, v := range fields {
-		if k == "id" {
-			continue // ids are immutable
-		}
-		d[k] = cloneValue(v)
-	}
-	c.indexAdd(id, d)
+	c.replace(id, d, withFields(d, fields))
 	wait := c.db.logMutation(Mutation{Op: MutUpdate, Coll: c.name, ID: id, Doc: fields})
 	c.mu.Unlock()
 	c.db.finish(wait)
@@ -473,9 +502,10 @@ func (c *Collection) Update(id ID, fields Doc) error {
 }
 
 // UpdateAll applies an updater function to every document matching the
-// filters; the updater returns the fields to overwrite (nil for no change).
-// It returns the number of updated documents. Used by migrations to
-// populate new fields.
+// filters, in id order; the updater returns the fields to overwrite (nil
+// for no change) and must not modify the document it is given. It returns
+// the number of updated documents. Used by migrations to populate new
+// fields.
 // Durability is per document: each modified document is logged as its own
 // update record, so a crash mid-bulk-update recovers a prefix of the
 // individual document updates. The records share one lock hold, so they
@@ -484,23 +514,17 @@ func (c *Collection) UpdateAll(filters []Filter, update func(Doc) Doc) int {
 	c.mu.Lock()
 	n := 0
 	var wait WaitFunc
-	for _, d := range c.docs {
+	for _, id := range c.ids {
+		d := c.docs[id]
 		if !matchAll(d, filters) {
 			continue
 		}
-		fields := update(d.Clone())
+		fields := update(d)
 		if fields == nil {
 			continue
 		}
-		c.indexRemove(d.ID(), d)
-		for k, v := range fields {
-			if k == "id" {
-				continue
-			}
-			d[k] = cloneValue(v)
-		}
-		c.indexAdd(d.ID(), d)
-		wait = c.db.logMutation(Mutation{Op: MutUpdate, Coll: c.name, ID: d.ID(), Doc: fields})
+		c.replace(id, d, withFields(d, fields))
+		wait = c.db.logMutation(Mutation{Op: MutUpdate, Coll: c.name, ID: id, Doc: fields})
 		n++
 	}
 	c.mu.Unlock()
@@ -511,10 +535,18 @@ func (c *Collection) UpdateAll(filters []Filter, update func(Doc) Doc) int {
 // RemoveField deletes a field from every document (schema migration).
 func (c *Collection) RemoveField(field string) {
 	c.mu.Lock()
-	for id, d := range c.docs {
-		c.indexRemove(id, d)
-		delete(d, field)
-		c.indexAdd(id, d)
+	for _, id := range c.ids {
+		d := c.docs[id]
+		if _, ok := d[field]; !ok {
+			continue
+		}
+		nd := make(Doc, len(d)-1)
+		for k, v := range d {
+			if k != field {
+				nd[k] = v
+			}
+		}
+		c.replace(id, d, nd)
 	}
 	wait := c.db.logMutation(Mutation{Op: MutRemoveField, Coll: c.name, Field: field})
 	c.mu.Unlock()
@@ -532,6 +564,7 @@ func (c *Collection) Delete(id ID) bool {
 	}
 	c.indexRemove(id, d)
 	delete(c.docs, id)
+	c.ids = removeID(c.ids, id)
 	wait := c.db.logMutation(Mutation{Op: MutDelete, Coll: c.name, ID: id})
 	c.mu.Unlock()
 	c.db.finish(wait)
@@ -543,6 +576,27 @@ func (c *Collection) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.docs)
+}
+
+// insertID adds id to the ascending slice ids. Ids are allocated in
+// increasing order, so the common case appends.
+func insertID(ids []ID, id ID) []ID {
+	if n := len(ids); n == 0 || ids[n-1] < id {
+		return append(ids, id)
+	}
+	i, found := slices.BinarySearch(ids, id)
+	if found {
+		return ids
+	}
+	return slices.Insert(ids, i, id)
+}
+
+// removeID deletes id from the ascending slice ids, if present.
+func removeID(ids []ID, id ID) []ID {
+	if i, found := slices.BinarySearch(ids, id); found {
+		return slices.Delete(ids, i, i+1)
+	}
+	return ids
 }
 
 func matchAll(d Doc, filters []Filter) bool {
@@ -656,33 +710,3 @@ func Match(d Doc, f Filter) bool { return match(d, f) }
 
 // MatchAll reports whether the document satisfies every filter.
 func MatchAll(d Doc, filters []Filter) bool { return matchAll(d, filters) }
-
-// Peek calls fn with the live document under the collection lock, avoiding
-// the defensive copy Get makes; fn must not retain or mutate the document.
-// It reports whether the document exists. The policy evaluator uses this on
-// its hot path: every ORM operation evaluates policies that probe the
-// principal's own document against Find criteria.
-func (c *Collection) Peek(id ID, fn func(Doc)) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	d, ok := c.docs[id]
-	if !ok {
-		return false
-	}
-	fn(d)
-	return true
-}
-
-// PeekMatch reports whether the document exists and whether it matches
-// every filter, without cloning and without a callback. This is the
-// compiled policy engine's Find-membership probe: Peek's closure and defer
-// are measurable at that call frequency.
-func (c *Collection) PeekMatch(id ID, filters []Filter) (found, matched bool) {
-	c.mu.RLock()
-	d, found := c.docs[id]
-	if found {
-		matched = matchAll(d, filters)
-	}
-	c.mu.RUnlock()
-	return found, matched
-}

@@ -23,19 +23,6 @@ func TestInsertGet(t *testing.T) {
 	}
 }
 
-func TestGetReturnsCopy(t *testing.T) {
-	db := Open()
-	users := db.Collection("User")
-	id := users.Insert(Doc{"name": "alice", "tags": []Value{"a"}})
-	d, _ := users.Get(id)
-	d["name"] = "mallory"
-	d["tags"].([]Value)[0] = "evil"
-	d2, _ := users.Get(id)
-	if d2["name"] != "alice" || d2["tags"].([]Value)[0] != "a" {
-		t.Fatal("mutation leaked into the store")
-	}
-}
-
 func TestFindFilters(t *testing.T) {
 	db := Open()
 	users := db.Collection("User")

@@ -2,11 +2,13 @@ package scooter_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"scooter"
+	"scooter/internal/schema"
 )
 
 // The online-migration tests drive the full stack: Workspace wiring
@@ -276,6 +278,55 @@ func TestOnlineLazyShimRace(t *testing.T) {
 		if _, ok := obj.Get("bio"); !ok {
 			t.Fatalf("user %v missing bio after online migration", obj.ID)
 		}
+	}
+}
+
+// TestOnlineReadBeforeLazyWindow reads through the ORM from inside the
+// `$spec` fence, after the schema has flipped to declare the new field but
+// before the dual-read window opens. No document carries the field yet and
+// nothing can derive it, so the field must be absent from every Object —
+// not readable as a nil value — and a filter on it must match nothing.
+func TestOnlineReadBeforeLazyWindow(t *testing.T) {
+	w := scooter.NewWorkspace()
+	ids := seedOnline(t, w, 4)
+	anon := w.AsPrinc(scooter.Static("Unauthenticated"))
+
+	opts := onlineTestOpts()
+	opts.Online = true
+	checked := false
+	opts.OnPlanned = func(after *schema.Schema) error {
+		if after.Model("User").Field("bio") == nil || !strings.Contains(w.SpecText(), "bio") {
+			return fmt.Errorf("OnPlanned ran before the schema flip")
+		}
+		checked = true
+		obj, err := anon.FindByID("User", ids[0])
+		if err != nil || obj == nil {
+			return fmt.Errorf("FindByID in the fence: obj=%v err=%v", obj, err)
+		}
+		if v, ok := obj.Get("bio"); ok {
+			return fmt.Errorf("bio readable before any document carries it: %#v", v)
+		}
+		if _, ok := obj.Fields()["bio"]; ok {
+			return fmt.Errorf("Fields() lists bio before any document carries it")
+		}
+		objs, err := anon.Find("User", scooter.Eq("bio", "I'm u000"))
+		if err != nil || len(objs) != 0 {
+			return fmt.Errorf("Find on bio in the fence: %d objects, err=%v", len(objs), err)
+		}
+		return nil
+	}
+	if _, err := w.MigrateNamedOpts("001_bio", onlineBioScript, opts); err != nil {
+		t.Fatal(err)
+	}
+	if !checked {
+		t.Fatal("OnPlanned hook never ran")
+	}
+	obj, err := anon.FindByID("User", ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bio, _ := obj.Get("bio"); bio != "I'm u000" {
+		t.Fatalf("bio after the backfill: %#v", bio)
 	}
 }
 
