@@ -7,7 +7,6 @@
 //	sidecar -spec policy.scp migration.scm...
 //	sidecar -spec policy.scp -check-strictness MODEL OLD_POLICY NEW_POLICY
 //	sidecar -apply -data-dir DIR migration.scm...
-//	sidecar -apply -data-dir DIR -shards N migration.scm...
 //
 // -apply additionally executes the scripts against the write-ahead-logged
 // store in -data-dir, journalling per-command progress: scripts already
@@ -22,14 +21,6 @@
 // -batch-size bounds each batch and -rate caps backfill throughput in
 // documents per second.
 //
-// -shards N makes -apply operate on a hash-sharded workspace of N shard
-// logs under -data-dir (subdirectories shard-0 … shard-N-1, as OpenSharded
-// lays them out): each script is verified once and committed across every
-// shard behind the epoch-fenced coordinator journal, so a crash at any
-// point resumes on the next run and drives all shards to the same $spec
-// epoch. The shard count must match the one the directory was created
-// with.
-//
 // -solver-rounds tunes the per-query SMT round budget, -cache-size bounds
 // the verdict cache shared across all scripts on the command line (0
 // disables it), and -stats prints cache/solver counters on exit.
@@ -43,9 +34,7 @@
 // share the file): verdicts proved once are looked up by the query's
 // alpha-invariant fingerprint, counterexamples included, so a warm replay
 // prints byte-identical output without solving. A truncated or damaged
-// store degrades to a cold start, never an error. -incremental proves the
-// per-principal-kind queries of each check on one shared push/pop solver,
-// reusing learned clauses and theory lemmas across related proofs.
+// store degrades to a cold start, never an error.
 //
 // -timeout bounds the whole run and -proof-timeout bounds each individual
 // strictness proof. An exhausted budget is never an error: the affected
@@ -102,14 +91,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	showStats := fs.Bool("stats", false, "print verification statistics on exit")
 	tracePath := fs.String("trace", "", "write one JSON event per strictness proof to this file (forces sequential proofs)")
 	verdictDB := fs.String("verdict-db", "", "persistent verdict store file shared across runs (created if absent)")
-	incremental := fs.Bool("incremental", false, "prove related queries on one shared push/pop solver, reusing learned clauses")
 	applyMode := fs.Bool("apply", false, "verify and durably apply the scripts against the store in -data-dir")
 	dataDir := fs.String("data-dir", "", "write-ahead log directory for -apply")
 	fsyncMode := fs.String("fsync", "always", "fsync policy for -apply: always, batch, or never")
 	online := fs.Bool("online", false, "apply backfills in batched, resumable steps so live traffic interleaves (requires -apply)")
 	batchSize := fs.Int("batch-size", 0, "documents per online backfill batch (0 = default)")
 	rate := fs.Int("rate", 0, "online backfill throughput cap in documents/second (0 = unpaced)")
-	shards := fs.Int("shards", 0, "apply across a hash-sharded workspace of this many shard logs (requires -apply; 0 = unsharded)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -159,7 +146,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	stats := &verify.Stats{}
 	opts.Stats = stats
-	opts.IncrementalSolver = *incremental
 	var vdb *verify.VerdictDB
 	if *verdictDB != "" {
 		vdb, err = verify.OpenVerdictDB(*verdictDB)
@@ -186,7 +172,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts.Rate = *rate
 	var code int
 	if *applyMode {
-		code = applyScripts(*dataDir, *fsyncMode, *shards, fs.Args(), opts, stdout, stderr)
+		code = applyScripts(*dataDir, *fsyncMode, fs.Args(), opts, stdout, stderr)
 	} else {
 		code = verifyScripts(s, fs.Args(), opts, stdout, stderr)
 	}
@@ -222,10 +208,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return code
 }
 
-// applyScripts opens (or recovers) the durable store — one workspace, or a
-// sharded set when shards > 0 — and runs the scripts as a journalled
-// migration history.
-func applyScripts(dataDir, fsyncMode string, shards int, paths []string, opts migrate.Options, stdout, stderr io.Writer) int {
+// applyScripts opens (or recovers) the durable store and runs the scripts
+// as a journalled migration history.
+func applyScripts(dataDir, fsyncMode string, paths []string, opts migrate.Options, stdout, stderr io.Writer) int {
 	if dataDir == "" {
 		fmt.Fprintln(stderr, "sidecar: -apply needs -data-dir")
 		return 2
@@ -242,34 +227,13 @@ func applyScripts(dataDir, fsyncMode string, shards int, paths []string, opts mi
 		fmt.Fprintf(stderr, "sidecar: unknown -fsync mode %q\n", fsyncMode)
 		return 2
 	}
-	var w interface {
-		MigrateNamedOpts(name, src string, opts scooter.Options) (bool, error)
-		Close() error
+	w, err := scooter.OpenDurable(dataDir, wopts)
+	if err != nil {
+		fmt.Fprintf(stderr, "sidecar: %v\n", err)
+		return 2
 	}
-	if shards > 0 {
-		sw, err := scooter.OpenSharded(dataDir, shards, wopts)
-		if err != nil {
-			fmt.Fprintf(stderr, "sidecar: %v\n", err)
-			return 2
-		}
-		replayed := 0
-		for i := 0; i < sw.Shards(); i++ {
-			replayed += sw.Shard(i).Replayed()
-		}
-		if replayed > 0 {
-			fmt.Fprintf(stdout, "recovered %d logged writes across %d shards\n", replayed, shards)
-		}
-		w = sw
-	} else {
-		ws, err := scooter.OpenDurable(dataDir, wopts)
-		if err != nil {
-			fmt.Fprintf(stderr, "sidecar: %v\n", err)
-			return 2
-		}
-		if n := ws.Replayed(); n > 0 {
-			fmt.Fprintf(stdout, "recovered %d logged writes\n", n)
-		}
-		w = ws
+	if n := w.Replayed(); n > 0 {
+		fmt.Fprintf(stdout, "recovered %d logged writes\n", n)
 	}
 	for _, path := range paths {
 		data, err := os.ReadFile(path)

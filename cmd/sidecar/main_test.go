@@ -91,6 +91,11 @@ User {
 			wantCode: 2,
 		},
 		{
+			name:     "the removed -incremental flag is a usage error",
+			args:     []string{"-spec", spec, "-incremental", tighten},
+			wantCode: 2,
+		},
+		{
 			name:     "apply without a data dir is a usage error",
 			args:     []string{"-spec", spec, "-apply", tighten},
 			wantCode: 2,
@@ -115,10 +120,10 @@ User {
 	}
 }
 
-// TestApplySharded drives -apply -shards end to end: a two-script history
-// committed across a 3-shard workspace, idempotent on re-run, resumable
-// with the rest of the history, and refused under a changed shard count.
-func TestApplySharded(t *testing.T) {
+// TestApply drives -apply end to end: a script applied to a fresh data
+// directory, skipped on re-run, with the rest of the history applied after
+// it.
+func TestApply(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, content string) string {
 		p := filepath.Join(dir, name)
@@ -140,35 +145,23 @@ User::AddField(bio: String { read: public, write: u -> [u] }, u -> "");
 	data := filepath.Join(dir, "data")
 
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-apply", "-data-dir", data, "-shards", "3", boot}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-apply", "-data-dir", data, boot}, &stdout, &stderr); code != 0 {
 		t.Fatalf("first apply: code %d\n%s%s", code, stdout.String(), stderr.String())
 	}
 	if !strings.Contains(stdout.String(), "APPLIED") {
 		t.Fatalf("first apply output:\n%s", stdout.String())
 	}
-	for i := 0; i < 3; i++ {
-		if _, err := os.Stat(filepath.Join(data, "shard-"+string(rune('0'+i)))); err != nil {
-			t.Fatalf("shard %d directory missing: %v", i, err)
-		}
-	}
 
 	// Replaying the history plus a new script: the old one is skipped, the
-	// new one commits across every shard.
+	// new one is applied.
 	stdout.Reset()
 	stderr.Reset()
-	if code := run([]string{"-apply", "-data-dir", data, "-shards", "3", boot, bio}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-apply", "-data-dir", data, boot, bio}, &stdout, &stderr); code != 0 {
 		t.Fatalf("second apply: code %d\n%s%s", code, stdout.String(), stderr.String())
 	}
 	if !strings.Contains(stdout.String(), "001_boot.scm: already applied, skipped") ||
 		!strings.Contains(stdout.String(), "002_bio.scm: APPLIED") {
 		t.Fatalf("second apply output:\n%s", stdout.String())
-	}
-
-	// A different shard count against the same directory is refused.
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-apply", "-data-dir", data, "-shards", "2", boot, bio}, &stdout, &stderr); code != 2 {
-		t.Fatalf("mismatched shard count: code %d\n%s%s", code, stdout.String(), stderr.String())
 	}
 }
 

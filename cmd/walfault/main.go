@@ -12,8 +12,6 @@
 //	walfault -trials N   # bound the sweep to N trials (0 = exhaustive)
 //	walfault -seed S     # which N trials the bound picks (default 1)
 //	walfault -online     # sweep crashes through an online migration instead
-//	walfault -shards N   # sweep crashes through a cross-shard migration
-//	                     # over an N-shard workspace instead
 //
 // With -trials the sweep runs a deterministic random subset: the full
 // candidate list is shuffled by -seed and the first N are run, so a bounded
@@ -104,7 +102,6 @@ func main() {
 	maxTrials := flag.Int("trials", 0, "run at most this many fault trials, sampled deterministically (0 = every offset)")
 	seed := flag.Int64("seed", 1, "seed selecting which trials a bounded run picks")
 	online := flag.Bool("online", false, "sweep crashes through an online batched migration with foreground traffic")
-	shards := flag.Int("shards", 0, "sweep crashes through a cross-shard migration over this many shards (0 = off)")
 	flag.Parse()
 
 	work := *dir
@@ -119,10 +116,6 @@ func main() {
 
 	if *online {
 		runOnline(work, *maxTrials, *seed)
-		return
-	}
-	if *shards > 0 {
-		runShards(work, *shards, *maxTrials, *seed)
 		return
 	}
 

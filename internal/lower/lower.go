@@ -310,92 +310,6 @@ func BuildCrossLeakageQuery(c *Context, newModel string, pNew ast.Policy, oldMod
 	return q, nil
 }
 
-// markInstances snapshots the per-model instance-list lengths, delimiting
-// a lowering region.
-func (c *Context) markInstances() map[string]int {
-	m := make(map[string]int, len(c.instances))
-	for model, ts := range c.instances {
-		m[model] = len(ts)
-	}
-	return m
-}
-
-// scopedInstances builds a per-query instance map: everything up to the
-// shared mark plus the [from, to) region one kind's lowering produced.
-// Queries built on a shared context must not alias c.instances — later
-// kinds keep appending to it, and a counterexample rendered for one kind
-// would otherwise show skolems belonging to another.
-func (c *Context) scopedInstances(shared, from, to map[string]int) map[string][]term.T {
-	out := map[string][]term.T{}
-	for model, ts := range c.instances {
-		var keep []term.T
-		keep = append(keep, ts[:shared[model]]...)
-		if from[model] < to[model] {
-			keep = append(keep, ts[from[model]:to[model]]...)
-		}
-		if len(keep) > 0 {
-			out[model] = keep
-		}
-	}
-	return out
-}
-
-// BuildCrossLeakageQuerySet lowers the leakage formula for several
-// principal kinds over ONE shared context: the target instance(s) are
-// created once and every kind's query refers to the same terms, so the
-// queries differ only in their principal case. This is the shape the
-// incremental solver wants — assert one query per push/pop scope on a
-// single solver and the structurally shared core (field applications,
-// string literals, side conditions) carries learned clauses across kinds.
-//
-// Each returned query gets its own scoped Instances map (shared target
-// terms plus that kind's own skolems), so counterexample rendering stays
-// per-kind. StringLits/Statics alias the context maps: literals are
-// interned, and a kind may legitimately render a literal another kind
-// interned first.
-func BuildCrossLeakageQuerySet(c *Context, newModel string, pNew ast.Policy, oldModel string, pOld ast.Policy, kinds []PrincipalKind) ([]*Query, error) {
-	newInstance := c.freshInstance(newModel, "i")
-	oldInstance := newInstance
-	if oldModel != newModel {
-		oldInstance = c.freshInstance(oldModel, "i")
-	}
-	shared := c.markInstances()
-
-	queries := make([]*Query, 0, len(kinds))
-	for _, kind := range kinds {
-		from := c.markInstances()
-		q := &Query{
-			B:             c.B,
-			Kind:          kind,
-			InstanceModel: newModel,
-			InstanceTerm:  newInstance,
-		}
-		if kind.Model != "" {
-			q.PrincipalTerm = c.freshInstance(kind.Model, "u")
-		} else {
-			q.PrincipalTerm = c.static(kind.Static)
-		}
-		u := principal{kind: kind, term: q.PrincipalTerm}
-		inNew, err := c.memberPolicy(u, newModel, newInstance, pNew, true)
-		if err != nil {
-			return nil, err
-		}
-		inOld, err := c.memberPolicy(u, oldModel, oldInstance, pOld, false)
-		if err != nil {
-			return nil, err
-		}
-		conj := []term.T{inNew, c.B.Not(inOld)}
-		conj = append(conj, c.sideConditions()...)
-		q.Formula = c.B.And(conj...)
-		q.Instances = c.scopedInstances(shared, from, c.markInstances())
-		q.StringLits = c.strings
-		q.Statics = c.statics
-		q.Incomplete = c.incomplete
-		queries = append(queries, q)
-	}
-	return queries, nil
-}
-
 // memberPolicy lowers u ∈ p(db, i) at the given polarity.
 func (c *Context) memberPolicy(u principal, model string, inst term.T, p ast.Policy, pos bool) (term.T, error) {
 	switch p.Kind {

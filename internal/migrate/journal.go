@@ -46,22 +46,14 @@ func scriptHash(src string) string {
 
 // Journal reads and writes the applied-migration log of a database.
 type Journal struct {
-	db   *store.DB
-	coll string
+	db *store.DB
 	// Clock supplies entry timestamps; nil means time.Now. Injected so
 	// journal contents (and thus WAL bytes) are deterministic in tests.
 	Clock func() time.Time
 }
 
 // NewJournal returns the journal of db, stored in JournalCollection.
-func NewJournal(db *store.DB) *Journal { return NewJournalIn(db, JournalCollection) }
-
-// NewJournalIn returns a journal stored in an arbitrary reserved
-// collection. The shard coordinator keeps its cross-shard prepare/commit
-// records in "$shardtx" on shard 0, reusing the same crash-safe
-// Begin/Progress/Finish machinery that tracks per-shard migrations in
-// "$migrations".
-func NewJournalIn(db *store.DB, coll string) *Journal { return &Journal{db: db, coll: coll} }
+func NewJournal(db *store.DB) *Journal { return &Journal{db: db} }
 
 func (j *Journal) now() int64 {
 	if j.Clock != nil {
@@ -89,7 +81,7 @@ func (j *Journal) Lookup(name string) (*JournalEntry, bool) {
 }
 
 func (j *Journal) lookupDoc(name string) (*JournalEntry, store.ID, bool) {
-	docs := j.db.Collection(j.coll).Find(store.Eq("name", name))
+	docs := j.db.Collection(JournalCollection).Find(store.Eq("name", name))
 	if len(docs) == 0 {
 		return nil, store.Nil, false
 	}
@@ -99,7 +91,7 @@ func (j *Journal) lookupDoc(name string) (*JournalEntry, store.ID, bool) {
 
 // Entries lists applied migrations in application order.
 func (j *Journal) Entries() []JournalEntry {
-	docs := j.db.Collection(j.coll).Find()
+	docs := j.db.Collection(JournalCollection).Find()
 	out := make([]JournalEntry, 0, len(docs))
 	for _, d := range docs {
 		out = append(out, entryFromDoc(d))
@@ -167,7 +159,7 @@ func (j *Journal) Begin(name, src string, commands int) (store.ID, error) {
 		}
 		return id, nil
 	}
-	id := j.db.Collection(j.coll).Insert(store.Doc{
+	id := j.db.Collection(JournalCollection).Insert(store.Doc{
 		"name":      name,
 		"hash":      scriptHash(src),
 		"appliedAt": j.now(),
@@ -184,7 +176,7 @@ func (j *Journal) Begin(name, src string, commands int) (store.ID, error) {
 // command resets the backfill watermark: it belonged to the finished
 // command's sweep.
 func (j *Journal) Progress(id store.ID, applied int) error {
-	return j.db.Collection(j.coll).Update(id, store.Doc{
+	return j.db.Collection(JournalCollection).Update(id, store.Doc{
 		"applied":   int64(applied),
 		"watermark": int64(0),
 	})
@@ -195,14 +187,14 @@ func (j *Journal) Progress(id store.ID, applied int) error {
 // the batch's own updates, so a recovered watermark never claims documents
 // the data does not reflect.
 func (j *Journal) ProgressBackfill(id store.ID, watermark store.ID) error {
-	return j.db.Collection(j.coll).Update(id, store.Doc{
+	return j.db.Collection(JournalCollection).Update(id, store.Doc{
 		"watermark": int64(watermark),
 	})
 }
 
 // Finish marks the entry complete.
 func (j *Journal) Finish(id store.ID, applied int) error {
-	return j.db.Collection(j.coll).Update(id, store.Doc{
+	return j.db.Collection(JournalCollection).Update(id, store.Doc{
 		"applied": int64(applied),
 		"done":    true,
 	})
@@ -211,7 +203,7 @@ func (j *Journal) Finish(id store.ID, applied int) error {
 // Record journals an already-completed application in one step; callers
 // that need crash-safe progress use Begin/Progress/Finish instead.
 func (j *Journal) Record(name, src string, commands int) {
-	j.db.Collection(j.coll).Insert(store.Doc{
+	j.db.Collection(JournalCollection).Insert(store.Doc{
 		"name":      name,
 		"hash":      scriptHash(src),
 		"appliedAt": j.now(),

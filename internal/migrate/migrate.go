@@ -75,12 +75,6 @@ type Options struct {
 	// definitive proof, so a later run (or another machine sharing the
 	// file) skips the solver entirely for already-proved queries.
 	VerdictDB *verify.VerdictDB
-	// IncrementalSolver proves the per-principal-kind queries of each
-	// strictness check on one shared push/pop solver, reusing learned
-	// clauses and theory lemmas across the structurally related proofs.
-	// Kinds then run sequentially per check (the shared solver is
-	// stateful); off by default to preserve the concurrent one-shot path.
-	IncrementalSolver bool
 
 	// Online makes Apply execute backfilling commands (AddField populate)
 	// in bounded, rate-limited batches instead of one stop-the-world sweep
@@ -310,7 +304,6 @@ func newChecker(s *schema.Schema, defs *equiv.Defs, opts Options) *verify.Checke
 	c.SolverMetrics = opts.SolverMetrics
 	c.Trace = opts.Trace
 	c.Persist = opts.VerdictDB
-	c.Incremental = opts.IncrementalSolver
 	return c
 }
 

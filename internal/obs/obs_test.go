@@ -115,12 +115,6 @@ func TestNilSafety(t *testing.T) {
 	om.RecordReadCheck(true)
 	om.RecordWriteCheck()
 	om.RecordWriteDenied()
-	var shm *ShardMetrics
-	shm.RecordRouted(0)
-	shm.RecordFanout(4)
-	shm.SetEpoch(0, 1)
-	shm.RecordMigration()
-	shm.RecordRecovery()
 	var tr *Tracer
 	tr.Emit(ProofEvent{})
 	if tr.Err() != nil {
@@ -189,46 +183,6 @@ func TestConcurrentScrape(t *testing.T) {
 	}
 	if got := om.FieldsStripped.Value(); got != total/2 {
 		t.Errorf("stripped = %d, want %d", got, total/2)
-	}
-}
-
-// TestShardMetrics checks the router metric set: pre-resolved per-shard
-// counters, out-of-range shard indexes falling back to the vec, fan-out
-// histogram accounting, and epoch gauges in the exposition.
-func TestShardMetrics(t *testing.T) {
-	reg := NewRegistry()
-	m := NewShardMetrics(reg, 2)
-	m.RecordRouted(0)
-	m.RecordRouted(0)
-	m.RecordRouted(1)
-	m.RecordRouted(12) // beyond the pre-resolved range
-	m.RecordFanout(2)
-	m.SetEpoch(0, 3)
-	m.SetEpoch(1, 3)
-	m.RecordMigration()
-
-	if got := m.RoutedOps.With("0").Value(); got != 2 {
-		t.Errorf("shard 0 routed = %d, want 2", got)
-	}
-	if got := m.RoutedOps.With("12").Value(); got != 1 {
-		t.Errorf("shard 12 routed = %d, want 1", got)
-	}
-	if got := m.FanoutWidth.Count(); got != 1 {
-		t.Errorf("fanout observations = %d, want 1", got)
-	}
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		`scooter_shard_routed_ops_total{shard="0"} 2`,
-		`scooter_shard_routed_ops_total{shard="12"} 1`,
-		`scooter_shard_spec_epoch{shard="1"} 3`,
-		"scooter_shard_migrations_total 1",
-	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("exposition missing %q:\n%s", want, buf.String())
-		}
 	}
 }
 

@@ -23,7 +23,6 @@ type SolverMetrics struct {
 	Decisions    *Counter
 	Propagations *Counter
 	Restarts     *Counter
-	ReusedLemmas *Counter
 }
 
 // NewSolverMetrics registers the scooter_solver_* family in reg.
@@ -36,7 +35,6 @@ func NewSolverMetrics(reg *Registry) *SolverMetrics {
 		Decisions:    reg.Counter("scooter_solver_decisions_total", "SAT decisions taken."),
 		Propagations: reg.Counter("scooter_solver_propagations_total", "SAT unit propagations."),
 		Restarts:     reg.Counter("scooter_solver_restarts_total", "SAT Luby restarts."),
-		ReusedLemmas: reg.Counter("scooter_solver_reused_lemmas_total", "Theory lemmas carried into an incremental check from earlier checks on the same solver."),
 	}
 }
 
@@ -52,15 +50,6 @@ func (m *SolverMetrics) RecordSolve(rounds, theoryChecks int, conflicts, decisio
 	m.Decisions.Add(decisions)
 	m.Propagations.Add(props)
 	m.Restarts.Add(restarts)
-}
-
-// RecordLemmaReuse adds n lemmas a check inherited from earlier checks on
-// the same incremental solver. Nil-safe.
-func (m *SolverMetrics) RecordLemmaReuse(n int64) {
-	if m == nil || n == 0 {
-		return
-	}
-	m.ReusedLemmas.Add(n)
 }
 
 // VerifyMetrics observes the verification pipeline around the solver:
@@ -302,97 +291,6 @@ func (m *BackfillMetrics) RecordBatch(populated, skipped int, watermark int64, r
 	m.Skipped.Add(int64(skipped))
 	m.Watermark.Set(float64(watermark))
 	m.Remaining.Set(float64(remaining))
-}
-
-// FanoutBuckets is the layout for cross-shard fan-out widths: a query
-// touches between 1 shard (routed) and N shards (full fan-out).
-var FanoutBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
-
-// ShardMetrics observes the shard router: per-shard routed operations,
-// the fan-out width of merged queries, and each shard's current $spec
-// epoch (the cross-shard migration fence).
-type ShardMetrics struct {
-	RoutedOps    *CounterVec
-	FanoutOps    *Counter
-	FanoutWidth  *Histogram
-	Epochs       *GaugeVec
-	Migrations   *Counter
-	Recoveries   *Counter
-	shardCounter []*Counter // pre-resolved RoutedOps handles, index = shard
-}
-
-// NewShardMetrics registers the scooter_shard_* family in reg for a router
-// fronting n shards. Per-shard counters are resolved once here so the
-// per-op path is a single atomic add, not a map lookup.
-func NewShardMetrics(reg *Registry, n int) *ShardMetrics {
-	m := &ShardMetrics{
-		RoutedOps:   reg.CounterVec("scooter_shard_routed_ops_total", "Operations routed to a single owner shard.", "shard"),
-		FanoutOps:   reg.Counter("scooter_shard_fanout_ops_total", "Queries fanned out across shards and merged."),
-		FanoutWidth: reg.Histogram("scooter_shard_fanout_width", "Shards touched per fanned-out query.", FanoutBuckets),
-		Epochs:      reg.GaugeVec("scooter_shard_spec_epoch", "Per-shard $spec epoch (cross-shard migration fence).", "shard"),
-		Migrations:  reg.Counter("scooter_shard_migrations_total", "Cross-shard migrations committed through the coordinator."),
-		Recoveries:  reg.Counter("scooter_shard_migration_recoveries_total", "Cross-shard migrations rolled forward from a coordinator prepare record at open."),
-	}
-	if m.RoutedOps != nil {
-		m.shardCounter = make([]*Counter, n)
-		for i := 0; i < n; i++ {
-			m.shardCounter[i] = m.RoutedOps.With(shardLabel(i))
-		}
-	}
-	return m
-}
-
-func shardLabel(i int) string {
-	// Small-int itoa without strconv import churn; shard counts are tiny.
-	if i >= 0 && i < 10 {
-		return string(rune('0' + i))
-	}
-	return shardLabel(i/10) + string(rune('0'+i%10))
-}
-
-// RecordRouted counts one operation routed to shard i. Nil-safe.
-func (m *ShardMetrics) RecordRouted(i int) {
-	if m == nil {
-		return
-	}
-	if i >= 0 && i < len(m.shardCounter) {
-		m.shardCounter[i].Inc()
-		return
-	}
-	m.RoutedOps.With(shardLabel(i)).Inc()
-}
-
-// RecordFanout counts one merged query touching width shards. Nil-safe.
-func (m *ShardMetrics) RecordFanout(width int) {
-	if m == nil {
-		return
-	}
-	m.FanoutOps.Inc()
-	m.FanoutWidth.Observe(float64(width))
-}
-
-// SetEpoch records shard i's current $spec epoch. Nil-safe.
-func (m *ShardMetrics) SetEpoch(i int, epoch int64) {
-	if m == nil {
-		return
-	}
-	m.Epochs.With(shardLabel(i)).Set(float64(epoch))
-}
-
-// RecordMigration counts one committed cross-shard migration. Nil-safe.
-func (m *ShardMetrics) RecordMigration() {
-	if m == nil {
-		return
-	}
-	m.Migrations.Inc()
-}
-
-// RecordRecovery counts one migration rolled forward at open. Nil-safe.
-func (m *ShardMetrics) RecordRecovery() {
-	if m == nil {
-		return
-	}
-	m.Recoveries.Inc()
 }
 
 // ORMMetrics observes the policy boundary: every read filtered through

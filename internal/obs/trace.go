@@ -21,7 +21,6 @@ type ProofEvent struct {
 	Decisions    int64  `json:"decisions,omitempty"`
 	Propagations int64  `json:"propagations,omitempty"`
 	Restarts     int64  `json:"restarts,omitempty"`
-	ReusedLemmas int64  `json:"reused_lemmas,omitempty"`
 	Why          string `json:"why,omitempty"`
 	DurationNS   int64  `json:"duration_ns"`
 }

@@ -445,26 +445,27 @@ func (pr *Princ) strip(st *connState, m *schema.Model, doc store.Doc) (*Object, 
 	return obj, nil
 }
 
-// prepareInsert runs the shared front half of Insert and InsertWithID:
-// read-only gate, model lookup, lazy-field derivation, declared-field
-// completeness, and the create-policy decision on the candidate document.
-// It returns the (possibly augmented) fields ready to store.
-func (pr *Princ) prepareInsert(model string, fields store.Doc) (store.Doc, error) {
+// Insert creates an instance after checking the model's create policy. All
+// declared fields must be present; during a lazy-migration window the
+// in-flight field may be omitted, in which case it is derived from the
+// candidate document — writers that still speak the old shape keep working
+// through the drain.
+func (pr *Princ) Insert(model string, fields store.Doc) (store.ID, error) {
 	pr.conn.metrics.RecordWriteCheck()
 	if pr.conn.readOnly {
 		pr.conn.metrics.RecordWriteDenied()
-		return nil, ErrReadOnly
+		return store.Nil, ErrReadOnly
 	}
 	st := pr.conn.state.Load()
 	m := st.schema.Model(model)
 	if m == nil {
-		return nil, fmt.Errorf("orm: unknown model %s", model)
+		return store.Nil, fmt.Errorf("orm: unknown model %s", model)
 	}
 	if lf, ok := st.lazy[model]; ok {
 		if _, present := fields[lf.field]; !present {
 			v, err := lf.compute(fields)
 			if err != nil {
-				return nil, fmt.Errorf("orm: lazily migrating %s.%s on insert: %w", model, lf.field, err)
+				return store.Nil, fmt.Errorf("orm: lazily migrating %s.%s on insert: %w", model, lf.field, err)
 			}
 			withLazy := make(store.Doc, len(fields)+1)
 			for k, val := range fields {
@@ -477,7 +478,7 @@ func (pr *Princ) prepareInsert(model string, fields store.Doc) (store.Doc, error
 	}
 	for _, f := range m.Fields {
 		if _, ok := fields[f.Name]; !ok {
-			return nil, fmt.Errorf("orm: missing field %s.%s on insert", model, f.Name)
+			return store.Nil, fmt.Errorf("orm: missing field %s.%s on insert", model, f.Name)
 		}
 	}
 	if pr.conn.enforcement {
@@ -488,25 +489,12 @@ func (pr *Princ) prepareInsert(model string, fields store.Doc) (store.Doc, error
 		}
 		ok, err := pr.conn.allowed(st, cp, pr.p, model, fields, m.Create)
 		if err != nil {
-			return nil, err
+			return store.Nil, err
 		}
 		if !ok {
 			pr.conn.metrics.RecordWriteDenied()
-			return nil, &PolicyError{Op: ast.OpCreate, Principal: pr.p, Model: model}
+			return store.Nil, &PolicyError{Op: ast.OpCreate, Principal: pr.p, Model: model}
 		}
-	}
-	return fields, nil
-}
-
-// Insert creates an instance after checking the model's create policy. All
-// declared fields must be present; during a lazy-migration window the
-// in-flight field may be omitted, in which case it is derived from the
-// candidate document — writers that still speak the old shape keep working
-// through the drain.
-func (pr *Princ) Insert(model string, fields store.Doc) (store.ID, error) {
-	fields, err := pr.prepareInsert(model, fields)
-	if err != nil {
-		return store.Nil, err
 	}
 	id := pr.conn.DB.Collection(model).Insert(fields)
 	// With a write-ahead log attached, Insert returns only after the record
@@ -516,19 +504,6 @@ func (pr *Princ) Insert(model string, fields store.Doc) (store.ID, error) {
 		return store.Nil, err
 	}
 	return id, nil
-}
-
-// InsertWithID creates an instance under a caller-chosen id, with the same
-// policy gate as Insert. The shard router uses it to place documents whose
-// ids were allocated by its cross-shard allocator (and deterministic test
-// harnesses use it to make ids reproducible across worlds); the id must be
-// one the caller owns — the store rejects duplicates within the collection.
-func (pr *Princ) InsertWithID(model string, id store.ID, fields store.Doc) error {
-	fields, err := pr.prepareInsert(model, fields)
-	if err != nil {
-		return err
-	}
-	return pr.conn.DB.Collection(model).InsertWithID(id, fields)
 }
 
 // Update overwrites fields after checking each one's write policy against

@@ -3,7 +3,7 @@
 // instance identity, string/principal reasoning, and field functions (the
 // paper encodes each field as a function from instances to values, §4).
 //
-// The engine is non-incremental: the solver hands it the full set of
+// The engine is not incremental: the solver hands it the full set of
 // asserted (dis)equalities at once and minimises unsatisfiable cores by
 // deletion at a higher level. This keeps the closure algorithm simple while
 // remaining fast for the formula sizes migration verification produces.

@@ -174,8 +174,8 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	if !s.ok {
 		return false
 	}
-	// Incremental use: clauses may arrive between Solve calls while the
-	// trail still holds the last model; undo it first.
+	// Clauses may arrive between Solve calls (the SMT loop's blocking
+	// lemmas) while the trail still holds the last model; undo it first.
 	s.backtrackTo(0)
 	// Normalise: drop duplicate and false literals, detect tautologies and
 	// satisfied clauses.
@@ -520,12 +520,11 @@ func luby(base int64, i int64) int64 {
 	return base << uint(k-1)
 }
 
-// Solve determines satisfiability under the given assumptions. On Sat, the
-// model is available through Value. Assumptions that conflict produce
-// Unsat. When the conflict budget (MaxConflicts) runs out or Limits
+// Solve determines satisfiability. On Sat, the model is available through
+// Value. When the conflict budget (MaxConflicts) runs out or Limits
 // expires, Solve returns Unknown and Exhaustion() reports why; the solver
 // stays usable (learnt clauses are kept) for a later retry.
-func (s *Solver) Solve(assumptions ...Lit) Status {
+func (s *Solver) Solve() Status {
 	if !s.ok {
 		return Unsat
 	}
@@ -548,7 +547,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			return Unknown
 		}
 		restartBudget := luby(100, restart)
-		st := s.search(restartBudget, assumptions)
+		st := s.search(restartBudget)
 		if st != Unknown {
 			if st == Sat {
 				return Sat
@@ -568,7 +567,7 @@ func (s *Solver) Exhaustion() *limits.Exhausted { return s.why }
 
 // search runs CDCL until a verdict, a restart (Unknown with no exhaustion
 // recorded), or resource exhaustion (Unknown with s.why set).
-func (s *Solver) search(restartBudget int64, assumptions []Lit) Status {
+func (s *Solver) search(restartBudget int64) Status {
 	conflictsHere := int64(0)
 	for {
 		confl := s.propagate()
@@ -593,26 +592,9 @@ func (s *Solver) search(restartBudget int64, assumptions []Lit) Status {
 				return Unknown
 			}
 			learnt, btLevel := s.analyze(confl)
-			// Never backtrack past the assumptions.
-			if btLevel < int32(s.assumedLevels(assumptions)) {
-				btLevel = int32(s.assumedLevels(assumptions))
-				if s.decisionLevel() <= btLevel {
-					return Unsat
-				}
-			}
 			s.backtrackTo(btLevel)
 			if len(learnt) == 1 {
-				if s.decisionLevel() != 0 {
-					// Unit learnt under assumptions: re-propagate.
-					if s.valueLit(learnt[0]) == lFalse {
-						return Unsat
-					}
-					if s.valueLit(learnt[0]) == lUndef {
-						s.uncheckedEnqueue(learnt[0], nil)
-					}
-				} else {
-					s.uncheckedEnqueue(learnt[0], nil)
-				}
+				s.uncheckedEnqueue(learnt[0], nil)
 			} else {
 				c := &clause{lits: learnt, learnt: true, act: s.clauseInc}
 				s.learnts = append(s.learnts, c)
@@ -623,27 +605,11 @@ func (s *Solver) search(restartBudget int64, assumptions []Lit) Status {
 			if len(s.learnts) > s.maxLearnts {
 				// Reduce at a restart boundary so no mid-trail clause is a
 				// hidden reason: backtrack first, then drop cold clauses.
-				s.backtrackTo(int32(s.assumedLevels(assumptions)))
+				s.backtrackTo(0)
 				s.reduceDB()
 			}
 			if conflictsHere >= restartBudget {
 				return Unknown // restart
-			}
-			continue
-		}
-
-		// Place assumptions as pseudo-decisions first.
-		if int(s.decisionLevel()) < len(assumptions) {
-			a := assumptions[s.decisionLevel()]
-			switch s.valueLit(a) {
-			case lTrue:
-				// Already satisfied: open an empty level to keep indexing.
-				s.trailLim = append(s.trailLim, int32(len(s.trail)))
-			case lFalse:
-				return Unsat
-			default:
-				s.trailLim = append(s.trailLim, int32(len(s.trail)))
-				s.uncheckedEnqueue(a, nil)
 			}
 			continue
 		}
@@ -656,14 +622,6 @@ func (s *Solver) search(restartBudget int64, assumptions []Lit) Status {
 		s.trailLim = append(s.trailLim, int32(len(s.trail)))
 		s.uncheckedEnqueue(MkLit(v, !s.polarity[v]), nil)
 	}
-}
-
-// assumedLevels returns how many decision levels are reserved by assumptions.
-func (s *Solver) assumedLevels(assumptions []Lit) int {
-	if len(assumptions) < int(s.decisionLevel()) {
-		return len(assumptions)
-	}
-	return int(s.decisionLevel())
 }
 
 // Stats reports basic search statistics.

@@ -169,33 +169,6 @@ func TestTwoColorOddCycleUnsat(t *testing.T) {
 	}
 }
 
-func TestAssumptions(t *testing.T) {
-	s := addDimacs(3, [][]int{{1, 2}, {-1, 3}})
-	if s.Solve(lit(-2)) != Sat {
-		t.Fatal("sat under -x2")
-	}
-	if s.Value(0) != true || s.Value(2) != true {
-		t.Error("assuming -x2 forces x1 and x3")
-	}
-	// Solver must be reusable with different assumptions.
-	if s.Solve(lit(-1), lit(-2)) != Unsat {
-		t.Fatal("unsat under -x1,-x2")
-	}
-	if s.Solve() != Sat {
-		t.Fatal("still sat with no assumptions")
-	}
-}
-
-func TestAssumptionConflictsWithUnit(t *testing.T) {
-	s := addDimacs(1, [][]int{{1}})
-	if s.Solve(lit(-1)) != Unsat {
-		t.Fatal("assumption contradicting a unit clause must be unsat")
-	}
-	if s.Solve() != Sat {
-		t.Fatal("solver must remain usable")
-	}
-}
-
 // bruteForce checks satisfiability by enumeration (up to 20 vars).
 func bruteForce(nVars int, clauses [][]int) bool {
 	for m := 0; m < 1<<uint(nVars); m++ {
@@ -347,25 +320,6 @@ func TestConflictBudgetExhaustion(t *testing.T) {
 	}
 	if s.Exhaustion() != nil {
 		t.Fatalf("definitive verdict must clear the exhaustion status")
-	}
-}
-
-// TestConflictBudgetUnderAssumptions: budget exhaustion under assumptions
-// reports Unknown, and the assumptions still decide cleanly once the
-// budget is lifted.
-func TestConflictBudgetUnderAssumptions(t *testing.T) {
-	s := pigeonhole(7)
-	extra := s.NewVar()
-	s.MaxConflicts = 5
-	if st := s.Solve(MkLit(extra, false)); st != Unknown {
-		t.Fatalf("budgeted solve under assumption: got %v, want Unknown", st)
-	}
-	if ex := s.Exhaustion(); ex == nil || ex.Reason != limits.ConflictBudget {
-		t.Fatalf("want conflict-budget exhaustion, got %v", ex)
-	}
-	s.MaxConflicts = 0
-	if st := s.Solve(MkLit(extra, false)); st != Unsat {
-		t.Fatalf("unbudgeted solve under assumption: got %v, want Unsat", st)
 	}
 }
 

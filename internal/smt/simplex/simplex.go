@@ -56,7 +56,7 @@ type Constraint struct {
 	K     *big.Rat
 }
 
-// Solver decides a conjunction of constraints. Non-incremental: build,
+// Solver decides a conjunction of constraints. It is not incremental: build,
 // add constraints, call Check once.
 type Solver struct {
 	numVars int

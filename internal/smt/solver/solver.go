@@ -78,44 +78,15 @@ type Solver struct {
 	// no-op sink.
 	Metrics *obs.SolverMetrics
 
-	// Incremental keeps the SAT core, CNF converter, and preprocessor alive
-	// across Checks, so later checks on the same solver reuse the learned
-	// clauses and theory lemmas of earlier ones. Formulas asserted between
-	// Push and Pop are guarded by a selector literal and retracted by Pop;
-	// everything learned stays. Set before the first Check and do not
-	// change it afterwards.
-	Incremental bool
-
 	sat  *sat.Solver
 	conv *cnf.Converter
 
 	trueConst term.T // $true constant for boolean apps in EUF
 
-	// Incremental-mode persistent state: the preprocessor must survive
-	// across Checks (its $ite counter names fresh constants, and the
-	// builder dedupes constants by name — a restarted counter would alias
-	// two different ites, which is unsound), together with watermarks over
-	// asserted/sideConditions and the set of already-split equality atoms.
-	pre       *preprocessor
-	converted int // prefix of asserted already converted to clauses
-	sideDone  int // prefix of pre.sideConditions already asserted
-	splitEqs  map[term.T]bool
-
-	sels     []term.T // active scope selectors, innermost last
-	selCount int
-
-	lemmas       int64 // blocking lemmas added over the solver's lifetime
-	reusedLemmas int64 // lemmas already present when the last Check started
-
-	// Per-Check stat baselines (the SAT core and TheoryChecks accumulate
-	// over the solver's lifetime; CheckStats subtracts these).
-	baseTheory                                  int
-	baseConfl, baseDec, baseProps, baseRestarts int64
-
 	model *Model
 	why   *limits.Exhausted
 
-	// Stats.
+	// Stats of the last Check.
 	Rounds       int
 	TheoryChecks int
 }
@@ -143,38 +114,38 @@ type tlit struct {
 func (s *Solver) Check() (Status, error) {
 	s.why = nil
 	s.model = nil
-	if !s.Incremental {
-		s.sat = nil // one-shot: rebuild everything from scratch
-	}
-	s.ensureInit()
-	s.sat.Limits = s.Limits
-	s.sat.MaxConflicts = s.MaxConflicts
-	s.reusedLemmas = s.lemmas
-	s.baseTheory = s.TheoryChecks
-	s.baseConfl, s.baseDec, s.baseProps = s.sat.Stats()
-	s.baseRestarts = s.sat.Restarts()
+	s.TheoryChecks = 0
+	s.sat = sat.New()
 	if s.Metrics != nil {
 		defer func() {
-			c, d, p := s.CheckStats()
-			s.Metrics.RecordSolve(s.Rounds, s.TheoryChecks-s.baseTheory, c, d, p, s.CheckRestarts())
-			s.Metrics.RecordLemmaReuse(s.ReusedLemmas())
+			c, d, p := s.sat.Stats()
+			s.Metrics.RecordSolve(s.Rounds, s.TheoryChecks, c, d, p, s.sat.Restarts())
 		}()
 	}
+	s.sat.Limits = s.Limits
+	s.sat.MaxConflicts = s.MaxConflicts
+	s.conv = cnf.New(s.B, s.sat)
+	s.trueConst = s.B.Const("$true", term.Uninterp(boolTrueSortName))
 
-	if err := s.flushAsserts(); err != nil {
-		return Unknown, err
+	pre := newPreprocessor(s.B)
+	for _, t := range s.asserted {
+		rt := pre.rewrite(t)
+		if pre.err != nil {
+			return Unknown, pre.err
+		}
+		s.conv.Assert(rt)
 	}
-	assumptions := make([]sat.Lit, len(s.sels))
-	for i, sel := range s.sels {
-		assumptions[i] = s.conv.Lit(sel)
+	for _, side := range pre.sideConditions {
+		s.conv.Assert(side)
 	}
+	s.addArithEqualitySplits()
 
 	for s.Rounds = 0; s.Rounds < s.MaxRounds; s.Rounds++ {
 		if ex := s.Limits.Expired(); ex != nil {
 			s.why = ex
 			return Unknown, nil
 		}
-		switch s.sat.Solve(assumptions...) {
+		switch s.sat.Solve() {
 		case sat.Unsat:
 			return Unsat, nil
 		case sat.Unknown:
@@ -272,11 +243,8 @@ func (s *Solver) isTheoryAtom(t term.T) bool {
 	return false
 }
 
-// blockLits adds a clause forbidding the given partial assignment. The
-// blocked assignment is theory-infeasible (or admits no joint model), a
-// fact about the theory atoms alone — so the lemma is valid in every
-// push/pop scope and is asserted unguarded, which is what lets incremental
-// checks inherit it.
+// blockLits adds a clause forbidding the given partial assignment: the
+// blocked assignment is theory-infeasible (or admits no joint model).
 func (s *Solver) blockLits(lits []tlit) {
 	clause := make([]sat.Lit, len(lits))
 	atoms := s.conv.Atoms()
@@ -284,7 +252,6 @@ func (s *Solver) blockLits(lits []tlit) {
 		clause[i] = sat.MkLit(atoms[l.atom], l.val) // negated literal
 	}
 	s.sat.AddClause(clause...)
-	s.lemmas++
 }
 
 // addArithEqualitySplits adds, for every arithmetic equality atom a=b, the
@@ -292,20 +259,14 @@ func (s *Solver) blockLits(lits []tlit) {
 // (a=b) -> not(b<a). This lets the simplex engine see a strict inequality
 // whenever an equality is assigned false, avoiding disequality handling.
 func (s *Solver) addArithEqualitySplits() {
-	// Copy atom set first: creating Lt atoms extends the map. splitEqs
-	// keeps the pass idempotent for incremental mode (splits are
-	// theory-valid, so they stay asserted across scopes).
+	// Copy atom set first: creating Lt atoms extends the map.
 	var eqs []term.T
 	for at := range s.conv.Atoms() {
-		if s.splitEqs[at] {
-			continue
-		}
 		if s.B.Op(at) == term.OpEq && s.isArithSort(s.B.SortOf(s.B.Args(at)[0])) {
 			eqs = append(eqs, at)
 		}
 	}
 	for _, eq := range eqs {
-		s.splitEqs[eq] = true
 		args := s.B.Args(eq)
 		lt1 := s.B.Lt(args[0], args[1])
 		lt2 := s.B.Lt(args[1], args[0])

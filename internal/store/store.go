@@ -254,10 +254,10 @@ func (db *DB) Collection(name string) *Collection {
 	return c
 }
 
-// Lookup returns the named collection without creating it. Convergence
-// checks and the shard router's merge paths use it so that probing for a
-// collection never mutates the database (Collection creates, and logs a
-// WAL record, on first touch).
+// Lookup returns the named collection without creating it, so that probing
+// for a collection (reading the persisted spec, canonicalising a database)
+// never mutates the database: Collection creates, and logs a WAL record,
+// on first touch.
 func (db *DB) Lookup(name string) (*Collection, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -292,11 +292,6 @@ func (db *DB) CollectionNames() []string {
 
 // NewID allocates a fresh document id.
 func (db *DB) NewID() ID { return ID(db.nextID.Add(1)) }
-
-// LastID returns the highest id the allocator has handed out (or been
-// advanced past). The shard router seeds its cross-shard allocator with
-// the max over shards at open.
-func (db *DB) LastID() ID { return ID(db.nextID.Load()) }
 
 // Name returns the collection name.
 func (c *Collection) Name() string { return c.name }

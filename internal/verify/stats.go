@@ -35,10 +35,6 @@ type Snapshot struct {
 	// the SAT core.
 	SolverRounds, TheoryChecks                   int64
 	Conflicts, Decisions, Propagations, Restarts int64
-	// ReusedLemmas counts theory lemmas inherited by incremental checks
-	// from earlier checks on the same shared solver (zero when the
-	// incremental solver is off).
-	ReusedLemmas int64
 }
 
 // Snapshot returns a consistent copy of the current counters: every query
@@ -67,7 +63,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		Decisions:     s.Decisions - prev.Decisions,
 		Propagations:  s.Propagations - prev.Propagations,
 		Restarts:      s.Restarts - prev.Restarts,
-		ReusedLemmas:  s.ReusedLemmas - prev.ReusedLemmas,
 	}
 }
 
@@ -79,7 +74,7 @@ func (s Snapshot) String() string {
 }
 
 // recordSolve accumulates one solver run as a unit. Nil-safe.
-func (s *Stats) recordSolve(rounds, theoryChecks int, conflicts, decisions, propagations, restarts, reused int64) {
+func (s *Stats) recordSolve(rounds, theoryChecks int, conflicts, decisions, propagations, restarts int64) {
 	if s == nil {
 		return
 	}
@@ -92,7 +87,6 @@ func (s *Stats) recordSolve(rounds, theoryChecks int, conflicts, decisions, prop
 	s.snap.Decisions += decisions
 	s.snap.Propagations += propagations
 	s.snap.Restarts += restarts
-	s.snap.ReusedLemmas += reused
 }
 
 func (s *Stats) recordHit() {

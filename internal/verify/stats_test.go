@@ -46,7 +46,7 @@ func TestStatsSnapshotConsistency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				s.recordSolve(1, 1, 1, 1, 1, 1, 0)
+				s.recordSolve(1, 1, 1, 1, 1, 1)
 				s.recordHit()
 				s.recordMiss()
 			}

@@ -92,11 +92,6 @@ type Checker struct {
 	// after memory-cache hits, so a store attached mid-history still ends up
 	// complete). Shares CacheKey with Cache.
 	Persist *VerdictDB
-	// Incremental, when set, proves the per-kind queries of each strictness
-	// check on one shared solver using push/pop scopes, so structurally
-	// related proofs reuse learned theory lemmas. Kinds run sequentially in
-	// this mode (the solver is stateful).
-	Incremental bool
 	// Stats, when set, accumulates query/solver counters.
 	Stats *Stats
 	// Metrics, when set, observes each proof (count, wall time, Unknown
@@ -148,9 +143,6 @@ func (c *Checker) CheckEquivalence(model string, p1, p2 ast.Policy) (bool, error
 // independent (each owns its term builder and solver), so they run
 // concurrently. Results are reported in kind order for determinism.
 func (c *Checker) checkFlowStrictness(dstModel string, dstRead ast.Policy, srcModel string, srcRead ast.Policy) (*Result, error) {
-	if c.Incremental {
-		return c.checkFlowStrictnessIncremental(dstModel, dstRead, srcModel, srcRead)
-	}
 	kinds := lower.PrincipalKinds(c.Schema)
 	type kindResult struct {
 		res *Result
@@ -242,8 +234,8 @@ func (c *Checker) checkKind(dstModel string, dstRead ast.Policy, srcModel string
 	s.Metrics = c.SolverMetrics
 	s.Assert(q.Formula)
 	status, serr := s.Check()
-	conflicts, decisions, props := s.CheckStats()
-	c.Stats.recordSolve(s.Rounds, s.CheckTheoryChecks(), conflicts, decisions, props, s.CheckRestarts(), s.ReusedLemmas())
+	conflicts, decisions, props := s.SATStats()
+	c.Stats.recordSolve(s.Rounds, s.TheoryChecks, conflicts, decisions, props, s.SATRestarts())
 	if serr != nil {
 		out.err = fmt.Errorf("solving flow %s -> %s for principal kind %s: %w", srcModel, dstModel, kind, serr)
 		return
@@ -292,10 +284,9 @@ func (c *Checker) observeProof(key CacheKey, kind lower.PrincipalKind, res *Resu
 	}
 	if solved != nil {
 		ev.Rounds = solved.Rounds
-		ev.TheoryChecks = solved.CheckTheoryChecks()
-		ev.Conflicts, ev.Decisions, ev.Propagations = solved.CheckStats()
-		ev.Restarts = solved.CheckRestarts()
-		ev.ReusedLemmas = solved.ReusedLemmas()
+		ev.TheoryChecks = solved.TheoryChecks
+		ev.Conflicts, ev.Decisions, ev.Propagations = solved.SATStats()
+		ev.Restarts = solved.SATRestarts()
 	}
 	c.Trace.Emit(ev)
 }

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -45,11 +44,10 @@ const specCollection = "$spec"
 
 // persistSpec stores the current specification text in the database. The
 // document also carries a monotonically increasing epoch, bumped only when
-// the text actually changes: the shard coordinator uses it as the fence a
-// cross-shard migration drives every shard across, and re-persisting an
-// unchanged spec (a crash-resumed migration replaying its final step) is a
-// no-op so the epoch converges regardless of how many times a recovery
-// retraces the commit.
+// the text actually changes: re-persisting an unchanged spec (a
+// crash-resumed migration replaying its final step) is a no-op, so the
+// epoch — and the logged bytes — are the same however many times a
+// recovery retraces the commit.
 func persistSpec(db *store.DB, text string) {
 	c := db.Collection(specCollection)
 	if docs := c.Find(); len(docs) > 0 {
@@ -155,38 +153,9 @@ func (w *Workspace) StateHash() (uint64, string, error) {
 	return w.DurableLSN(), h, err
 }
 
-// collectionHash fingerprints one collection: documents in id order, each
-// serialised with the snapshot's typed tagging (deterministic — JSON map
-// keys sort). A missing collection hashes as empty, without being created.
-func collectionHash(db *store.DB, name string) (string, error) {
-	h := sha256.New()
-	if c, ok := db.Lookup(name); ok {
-		for _, d := range c.Find() {
-			b, err := store.MarshalDoc(d)
-			if err != nil {
-				return "", err
-			}
-			fmt.Fprintf(h, "%d:", int64(d.ID()))
-			h.Write(b)
-			h.Write([]byte{'\n'})
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// CollectionStateHash fingerprints a single collection's state. When two
-// workspaces' whole-state hashes diverge, comparing per-collection hashes
-// (user models plus the reserved "$migrations" and "$spec") pinpoints the
-// collection that differs; the shard convergence checks and the walfault
-// sweeps report it in their failure messages.
-func (w *Workspace) CollectionStateHash(name string) (string, error) {
-	return collectionHash(w.db, name)
-}
-
 // SpecEpoch reports the monotonic version of the persisted specification:
 // 0 before any spec is persisted, bumped by every migration that changes
-// the spec text. A set of shard workspaces agree on their epoch exactly
-// when they all enforce the same policies.
+// the spec text. Two workspaces replaying the same history agree on it.
 func (w *Workspace) SpecEpoch() int64 { return loadSpecEpoch(w.db) }
 
 // FollowerWorkspace is a read-only replica of a primary workspace: it

@@ -299,9 +299,8 @@ func (w *Workspace) Close() error {
 // Sync forces an fsync of the write-ahead log; a no-op without one (or
 // after Close). Useful under relaxed DurabilityOptions (SyncEvery > 1)
 // before acknowledging externally visible state. Like Close, it is safe
-// under concurrent callers: a router shutting down a set of shard
-// workspaces may race an application-level Sync without either side
-// observing a half-closed log.
+// under concurrent callers: a Sync racing a Close never observes a
+// half-closed log.
 func (w *Workspace) Sync() error {
 	w.closeMu.Lock()
 	defer w.closeMu.Unlock()
@@ -355,17 +354,13 @@ func (w *Workspace) SpecText() string { return specfmt.Format(w.schema) }
 // specification. Unsafe migrations return an *UnsafeError with a
 // counterexample; nothing executes.
 func (w *Workspace) Migrate(src string) error {
-	return w.MigrateOpts(src, migrate.DefaultOptions())
-}
-
-// MigrateOpts is Migrate with explicit options.
-func (w *Workspace) MigrateOpts(src string, opts Options) error {
 	w.migMu.Lock()
 	defer w.migMu.Unlock()
 	script, err := parser.ParseMigration(src)
 	if err != nil {
 		return err
 	}
+	opts := migrate.DefaultOptions()
 	w.fillObsDefaults(&opts)
 	after, err := migrate.VerifyAndExecute(w.schema, script, w.db, opts)
 	if err != nil {
@@ -524,8 +519,10 @@ func (w *Workspace) MigrateNamedOpts(name, src string, opts Options) (bool, erro
 	if applied {
 		// Journal replays (applied == false) only advance the in-memory
 		// schema: the durable $spec already reflects a state at or past this
-		// migration, and rewriting it with the intermediate spec would bump
-		// the epoch on every replayed step of the history.
+		// migration. Rewriting it with the intermediate spec would log a new
+		// $spec record and bump the epoch on every replayed step, so a
+		// recovered workspace's state would differ from one that never
+		// crashed.
 		persistSpec(w.db, w.SpecText())
 	}
 	if w.journaled == nil {
