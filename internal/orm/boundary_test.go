@@ -18,7 +18,7 @@ func TestObjectValuesAreCopies(t *testing.T) {
 		fx.conn.SetEnforcement(enforce)
 		alice := fx.conn.AsPrinc(user(fx.alice))
 		before, _ := fx.conn.DB.Collection("User").Get(fx.alice)
-		want, err := store.MarshalDoc(before)
+		want, err := store.AppendDoc(nil, before)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,12 +50,12 @@ func TestObjectValuesAreCopies(t *testing.T) {
 		}
 
 		after, _ := fx.conn.DB.Collection("User").Get(fx.alice)
-		got, err := store.MarshalDoc(after)
+		got, err := store.AppendDoc(nil, after)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(got) != string(want) {
-			t.Errorf("enforce=%t: store changed through an Object:\n was %s\n now %s", enforce, want, got)
+			t.Errorf("enforce=%t: store changed through an Object:\n was %v\n now %v", enforce, before, after)
 		}
 	}
 }

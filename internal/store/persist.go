@@ -1,139 +1,33 @@
 package store
 
 import (
-	"cmp"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"slices"
 	"sort"
-	"strconv"
 )
 
-// Snapshot / Restore give the in-memory store durability: the full database
-// serialises to a typed JSON document and loads back losslessly. Plain
-// encoding/json cannot round-trip the value universe (int64 vs float64, ID
-// vs int, Optional), so every value carries a type tag.
+// Snapshot / Restore give the in-memory store durability: the full
+// database serialises to one binary image and loads back losslessly.
+//
+//	[8B magic "SCSNAP02"]
+//	[varint next id][uvarint collection count]
+//	per collection, in ascending name order:
+//	  [string name][uvarint index count][string field ...]
+//	  [uvarint document count]
+//	  per document, in ascending id order: [varint id][document]
+//	[4B little-endian CRC32C of everything before it]
+//
+// Strings and documents use the value codec (codec.go); index fields are
+// sorted. Every database state therefore has exactly one snapshot, and
+// snapshot bytes serve as a state fingerprint.
+const snapMagic = "SCSNAP02"
 
-// snapshotFile is the on-disk layout.
-type snapshotFile struct {
-	Version     int                       `json:"version"`
-	NextID      int64                     `json:"nextId"`
-	Collections map[string]collectionSnap `json:"collections"`
-}
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-type collectionSnap struct {
-	Indexes []string           `json:"indexes,omitempty"`
-	Docs    map[string]docSnap `json:"docs"` // key: decimal id
-}
-
-type docSnap map[string]taggedValue
-
-type taggedValue struct {
-	T string          `json:"t"`
-	V json.RawMessage `json:"v"`
-}
-
-func encodeValue(v Value) (taggedValue, error) {
-	mk := func(t string, v any) (taggedValue, error) {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			return taggedValue{}, err
-		}
-		return taggedValue{T: t, V: raw}, nil
-	}
-	switch x := v.(type) {
-	case nil:
-		return mk("null", nil)
-	case int64:
-		return mk("i", x)
-	case float64:
-		return mk("f", x)
-	case bool:
-		return mk("b", x)
-	case string:
-		return mk("s", x)
-	case ID:
-		return mk("id", int64(x))
-	case []Value:
-		elems := make([]taggedValue, len(x))
-		for i, e := range x {
-			tv, err := encodeValue(e)
-			if err != nil {
-				return taggedValue{}, err
-			}
-			elems[i] = tv
-		}
-		return mk("set", elems)
-	case Optional:
-		if !x.Present {
-			return mk("none", nil)
-		}
-		inner, err := encodeValue(x.Value)
-		if err != nil {
-			return taggedValue{}, err
-		}
-		return mk("some", inner)
-	}
-	return taggedValue{}, fmt.Errorf("store: value %T cannot be serialised", v)
-}
-
-func decodeValue(tv taggedValue) (Value, error) {
-	switch tv.T {
-	case "null":
-		return nil, nil
-	case "i":
-		var n int64
-		err := json.Unmarshal(tv.V, &n)
-		return n, err
-	case "f":
-		var f float64
-		err := json.Unmarshal(tv.V, &f)
-		return f, err
-	case "b":
-		var b bool
-		err := json.Unmarshal(tv.V, &b)
-		return b, err
-	case "s":
-		var s string
-		err := json.Unmarshal(tv.V, &s)
-		return s, err
-	case "id":
-		var n int64
-		err := json.Unmarshal(tv.V, &n)
-		return ID(n), err
-	case "set":
-		var elems []taggedValue
-		if err := json.Unmarshal(tv.V, &elems); err != nil {
-			return nil, err
-		}
-		out := make([]Value, len(elems))
-		for i, e := range elems {
-			v, err := decodeValue(e)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	case "none":
-		return None(), nil
-	case "some":
-		var inner taggedValue
-		if err := json.Unmarshal(tv.V, &inner); err != nil {
-			return nil, err
-		}
-		v, err := decodeValue(inner)
-		if err != nil {
-			return nil, err
-		}
-		return Some(v), nil
-	}
-	return nil, fmt.Errorf("store: unknown value tag %q", tv.T)
-}
-
-// Snapshot writes the whole database as JSON. Collections are written in
-// sorted order so snapshots are deterministic. The snapshot is a consistent
+// Snapshot writes the whole database. The snapshot is a consistent
 // point-in-time cut: every collection lock is acquired before any data is
 // read, so a concurrent writer's mutations are either all visible or all
 // absent relative to the mutations that happened before them.
@@ -144,13 +38,12 @@ func (db *DB) Snapshot(w io.Writer) error { return db.SnapshotCut(w, nil) }
 // logging it. The WAL uses the hook to rotate segments exactly at the
 // snapshot boundary during compaction.
 func (db *DB) SnapshotCut(w io.Writer, cut func()) error {
-	file, err := db.capture(cut).encode()
+	b, err := db.capture(cut).encode()
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(file)
+	_, err = w.Write(b)
+	return err
 }
 
 // cutState is a database captured at a cut: per collection, its indexes
@@ -207,112 +100,89 @@ func (db *DB) capture(cut func()) *cutState {
 }
 
 // encode renders a captured cut in the snapshot layout.
-func (st *cutState) encode() (*snapshotFile, error) {
-	file := &snapshotFile{
-		Version:     1,
-		NextID:      st.nextID,
-		Collections: make(map[string]collectionSnap, len(st.names)),
-	}
+func (st *cutState) encode() ([]byte, error) {
+	b := binary.AppendVarint([]byte(snapMagic), st.nextID)
+	b = binary.AppendUvarint(b, uint64(len(st.names)))
 	for i, cc := range st.colls {
-		snap := collectionSnap{Indexes: cc.indexes, Docs: make(map[string]docSnap, len(cc.docs))}
-		sort.Strings(snap.Indexes)
+		b = AppendString(b, st.names[i])
+		slices.Sort(cc.indexes)
+		b = binary.AppendUvarint(b, uint64(len(cc.indexes)))
+		for _, f := range cc.indexes {
+			b = AppendString(b, f)
+		}
+		b = binary.AppendUvarint(b, uint64(len(cc.ids)))
 		for j, id := range cc.ids {
-			ds := docSnap{}
-			for k, v := range cc.docs[j] {
-				if k == "id" {
-					continue // implicit in the key
-				}
-				tv, err := encodeValue(v)
-				if err != nil {
-					return nil, fmt.Errorf("collection %s doc %v field %s: %w", st.names[i], id, k, err)
-				}
-				ds[k] = tv
+			b = binary.AppendVarint(b, int64(id))
+			var err error
+			if b, err = AppendDoc(b, cc.docs[j]); err != nil {
+				return nil, fmt.Errorf("store: collection %s doc %v: %w", st.names[i], id, err)
 			}
-			snap.Docs[strconv.FormatInt(int64(id), 10)] = ds
 		}
-		file.Collections[st.names[i]] = snap
 	}
-	return file, nil
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli)), nil
 }
 
-// MarshalDoc encodes a document with the same typed tagging Snapshot uses,
-// skipping the "id" field (it travels beside the document). The WAL logs
-// documents in this form.
-func MarshalDoc(d Doc) ([]byte, error) {
-	ds := docSnap{}
-	for k, v := range d {
-		if k == "id" {
-			continue
-		}
-		tv, err := encodeValue(v)
-		if err != nil {
-			return nil, fmt.Errorf("field %s: %w", k, err)
-		}
-		ds[k] = tv
-	}
-	return json.Marshal(ds)
-}
-
-// UnmarshalDoc decodes a MarshalDoc payload.
-func UnmarshalDoc(b []byte) (Doc, error) {
-	var ds docSnap
-	if err := json.Unmarshal(b, &ds); err != nil {
+// Restore loads a snapshot into a fresh database. It rejects a snapshot
+// that is truncated, fails its checksum, or is not in canonical order.
+func Restore(r io.Reader) (*DB, error) {
+	buf, err := io.ReadAll(r)
+	if err != nil {
 		return nil, err
 	}
-	doc := Doc{}
-	for k, tv := range ds {
-		v, err := decodeValue(tv)
-		if err != nil {
-			return nil, fmt.Errorf("field %s: %w", k, err)
-		}
-		doc[k] = v
+	switch {
+	case len(buf) > 0 && buf[0] == '{':
+		return nil, fmt.Errorf("store: snapshot is in the version-1 JSON format; this build reads only %s snapshots", snapMagic)
+	case len(buf) < len(snapMagic)+4 || string(buf[:len(snapMagic)]) != snapMagic:
+		return nil, fmt.Errorf("store: not a %s snapshot", snapMagic)
 	}
-	return doc, nil
-}
-
-// Restore loads a snapshot into a fresh database.
-func Restore(r io.Reader) (*DB, error) {
-	var file snapshotFile
-	if err := json.NewDecoder(r).Decode(&file); err != nil {
-		return nil, fmt.Errorf("store: corrupt snapshot: %w", err)
+	body, sum := buf[:len(buf)-4], binary.LittleEndian.Uint32(buf[len(buf)-4:])
+	if crc32.Checksum(body, castagnoli) != sum {
+		return nil, fmt.Errorf("store: snapshot checksum mismatch")
 	}
-	if file.Version != 1 {
-		return nil, fmt.Errorf("store: unsupported snapshot version %d", file.Version)
-	}
+	d := NewDecoder(body[len(snapMagic):])
 	db := Open()
-	db.nextID.Store(file.NextID)
-	for name, snap := range file.Collections {
+	db.nextID.Store(d.Varint())
+	var prev string
+	for i, n := 0, d.count(); i < n && d.err == nil; i++ {
+		name := d.Str()
+		if i > 0 && name <= prev {
+			d.fail("store: collection %q duplicated or out of order", name)
+		}
+		prev = name
 		c := db.Collection(name)
-		for _, field := range snap.Indexes {
-			c.EnsureIndex(field)
-		}
-		type entry struct {
-			id  ID
-			doc Doc
-		}
-		docs := make([]entry, 0, len(snap.Docs))
-		for idStr, ds := range snap.Docs {
-			var idNum int64
-			if _, err := fmt.Sscan(idStr, &idNum); err != nil {
-				return nil, fmt.Errorf("store: bad document id %q: %w", idStr, err)
-			}
-			doc := Doc{}
-			for k, tv := range ds {
-				v, err := decodeValue(tv)
-				if err != nil {
-					return nil, fmt.Errorf("store: %s/%s.%s: %w", name, idStr, k, err)
-				}
-				doc[k] = v
-			}
-			docs = append(docs, entry{ID(idNum), doc})
-		}
-		// Inserted in id order, every document appends to the id order.
-		slices.SortFunc(docs, func(a, b entry) int { return cmp.Compare(a.id, b.id) })
-		for _, e := range docs {
-			if err := c.InsertWithID(e.id, e.doc); err != nil {
-				return nil, err
+		indexes := make([]string, d.count())
+		for j := range indexes {
+			indexes[j] = d.Str()
+			if j > 0 && indexes[j] <= indexes[j-1] {
+				d.fail("store: %s: index %q duplicated or out of order", name, indexes[j])
 			}
 		}
+		// Documents arrive in id order, so each appends to the id order.
+		docs := d.count()
+		c.docs = make(map[ID]Doc, docs)
+		c.ids = make([]ID, 0, docs)
+		for j := 0; j < docs && d.err == nil; j++ {
+			id := ID(d.Varint())
+			if j > 0 && id <= c.ids[j-1] {
+				d.fail("store: %s: document %v duplicated or out of order", name, id)
+			}
+			doc := d.Doc()
+			if d.err != nil {
+				break
+			}
+			doc["id"] = id
+			c.docs[id] = doc
+			c.ids = append(c.ids, id)
+		}
+		for _, f := range indexes {
+			c.EnsureIndex(f)
+		}
+	}
+	if d.err == nil && d.Len() != 0 {
+		d.fail("store: %d trailing bytes after the last collection", d.Len())
+	}
+	if d.err != nil {
+		return nil, fmt.Errorf("store: corrupt snapshot: %w", d.err)
 	}
 	return db, nil
 }

@@ -89,7 +89,7 @@ func TestWritesTakeEffect(t *testing.T) {
 
 func marshal(t *testing.T, d Doc) []byte {
 	t.Helper()
-	b, err := MarshalDoc(d)
+	b, err := AppendDoc(nil, d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -313,8 +313,12 @@ func (c *Collection) Insert(doc Doc) ID {
 
 // InsertWithID stores a copy of doc under an explicit id; it fails if the
 // id is taken.
-func (c *Collection) InsertWithID(id ID, doc Doc) error {
-	cp := doc.Clone()
+func (c *Collection) InsertWithID(id ID, doc Doc) error { return c.Adopt(id, doc.Clone()) }
+
+// Adopt is InsertWithID without the copy: the collection takes ownership
+// of doc and sets its id field, so the caller must not use doc again. WAL
+// replay inserts freshly decoded documents this way.
+func (c *Collection) Adopt(id ID, cp Doc) error {
 	cp["id"] = id
 	c.mu.Lock()
 	if _, exists := c.docs[id]; exists {

@@ -18,21 +18,27 @@ const FrameOverhead = frameSize
 // EncodeFrame wraps payload in the record frame: length, CRC32C, then the
 // payload bytes.
 func EncodeFrame(payload []byte) []byte {
-	out := make([]byte, frameSize+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.Checksum(payload, castagnoli))
-	copy(out[frameSize:], payload)
-	return out
+	return sealFrame(append(make([]byte, frameSize, frameSize+len(payload)), payload...))
+}
+
+// sealFrame fills in the header of a frame whose payload b already holds
+// from offset frameSize on.
+func sealFrame(b []byte) []byte {
+	payload := b[frameSize:]
+	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(payload, castagnoli))
+	return b
 }
 
 // ScanFrames walks framed records in buf starting at offset start, calling
 // fn with each well-formed payload. It returns the byte offset just past
-// the last well-formed frame and whether the whole buffer was consumed. A
-// frame that is short, whose length is implausible, or whose checksum fails
-// marks the torn tail: scanning stops there (clean=false) without an error
-// or a panic, and the caller truncates at good — the same recovery
-// discipline parseSegment applies to WAL segments.
-func ScanFrames(buf []byte, start int64, fn func(payload []byte)) (good int64, clean bool) {
+// the last accepted frame and whether the whole buffer was consumed. A
+// frame that is short, whose length is implausible, whose checksum fails,
+// or whose payload fn rejects (returns false) marks the torn tail:
+// scanning stops there (clean=false) without an error or a panic, and the
+// caller truncates at good. WAL segments and the verdict store share this
+// recovery discipline.
+func ScanFrames(buf []byte, start int64, fn func(payload []byte) bool) (good int64, clean bool) {
 	off := start
 	for {
 		rest := buf[off:]
@@ -50,7 +56,9 @@ func ScanFrames(buf []byte, start int64, fn func(payload []byte)) (good int64, c
 		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(rest[4:8]) {
 			return off, false
 		}
-		fn(payload)
+		if !fn(payload) {
+			return off, false
+		}
 		off += frameSize + n
 	}
 }

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 
@@ -11,19 +10,26 @@ import (
 
 // On-disk layout. Each segment starts with a 16-byte header:
 //
-//	[8B magic "SCWAL001"][8B little-endian segment index]
+//	[8B magic "SCWAL002"][8B little-endian segment index]
 //
 // followed by framed records:
 //
 //	[4B little-endian payload length][4B CRC32C(payload)][payload]
 //
-// The payload is a JSON record (typed-tagged document values, shared with
-// the snapshot codec). A record whose frame is short, whose length is
-// implausible, or whose checksum fails marks the torn tail: recovery
-// truncates there and replays nothing after it.
+// The payload is one record in the store's binary value codec:
+//
+//	[uvarint LSN][1B op][string collection][varint id][string field]
+//	[uvarint snapshot boundary][document, for inserts and updates only]
+//
+// with nothing after it. A record whose frame is short, whose length is
+// implausible, whose checksum fails, or whose payload does not decode
+// marks the torn tail: recovery truncates there and replays nothing after
+// it. A segment carrying the version-1 magic "SCWAL001" (JSON payloads) is
+// refused, never repaired.
 
 const (
-	segMagic     = "SCWAL001"
+	segMagic     = "SCWAL002"
+	segMagicV1   = "SCWAL001"
 	headerSize   = 16
 	frameSize    = 8
 	maxRecordLen = 64 << 20 // sanity bound on a single record
@@ -31,82 +37,110 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Record op codes, kept short because they appear in every payload.
+// Record op codes, one byte in every payload.
 const (
-	opInsert     = "ins"
-	opUpdate     = "upd"
-	opDelete     = "del"
-	opRemField   = "rmf"
-	opCreateColl = "mkc"
-	opDropColl   = "drc"
-	opIndex      = "idx"
-	opCheckpoint = "ckp"
+	opInsert byte = iota + 1
+	opUpdate
+	opDelete
+	opRemField
+	opCreateColl
+	opDropColl
+	opIndex
+	opCheckpoint
 )
 
-// record is the JSON payload of one WAL entry. LSNs are assigned
-// contiguously, so recovery can detect a gap (dropped record) as
-// corruption.
+// record is one decoded WAL entry. LSNs are assigned contiguously, so
+// recovery can detect a gap (dropped record) as corruption.
 type record struct {
-	LSN   uint64          `json:"l"`
-	Op    string          `json:"o"`
-	Coll  string          `json:"c,omitempty"`
-	ID    int64           `json:"i,omitempty"`
-	Doc   json.RawMessage `json:"d,omitempty"`
-	Field string          `json:"f,omitempty"`
-	// Snap marks a checkpoint: a snapshot covering every record before
-	// this one exists under the segment index Snap.
-	Snap uint64 `json:"s,omitempty"`
+	lsn   uint64
+	op    byte
+	coll  string
+	id    store.ID
+	field string
+	// snap marks a checkpoint: a snapshot covering every record before
+	// this one exists under the segment index snap.
+	snap uint64
+	doc  store.Doc // inserts and updates
 }
+
+// hasDoc reports whether records with op carry a document.
+func hasDoc(op byte) bool { return op == opInsert || op == opUpdate }
 
 // encodeMutation renders a store mutation as a framed record. It runs
 // synchronously inside Durability.Append (under the collection lock), so
 // the Doc may alias caller memory.
 func encodeMutation(lsn uint64, m store.Mutation) ([]byte, error) {
-	rec := record{LSN: lsn, Coll: m.Coll, ID: int64(m.ID), Field: m.Field}
+	rec := record{lsn: lsn, coll: m.Coll, id: m.ID, field: m.Field, doc: m.Doc}
 	switch m.Op {
 	case store.MutInsert:
-		rec.Op = opInsert
+		rec.op = opInsert
 	case store.MutUpdate:
-		rec.Op = opUpdate
+		rec.op = opUpdate
 	case store.MutDelete:
-		rec.Op = opDelete
+		rec.op = opDelete
 	case store.MutRemoveField:
-		rec.Op = opRemField
+		rec.op = opRemField
 	case store.MutCreateCollection:
-		rec.Op = opCreateColl
+		rec.op = opCreateColl
 	case store.MutDropCollection:
-		rec.Op = opDropColl
+		rec.op = opDropColl
 	case store.MutCreateIndex:
-		rec.Op = opIndex
+		rec.op = opIndex
 	default:
 		return nil, fmt.Errorf("wal: unknown mutation op %d", m.Op)
 	}
-	if m.Op == store.MutInsert || m.Op == store.MutUpdate {
-		doc, err := store.MarshalDoc(m.Doc)
-		if err != nil {
-			return nil, fmt.Errorf("wal: encoding %s/%v: %w", m.Coll, m.ID, err)
-		}
-		rec.Doc = doc
+	frame, err := frameRecord(rec)
+	if err != nil {
+		return nil, fmt.Errorf("wal: encoding %s/%v: %w", m.Coll, m.ID, err)
 	}
-	return frameRecord(rec)
+	return frame, nil
 }
 
 // encodeCheckpoint renders a checkpoint record for a compaction boundary.
 func encodeCheckpoint(lsn, boundary uint64) ([]byte, error) {
-	return frameRecord(record{LSN: lsn, Op: opCheckpoint, Snap: boundary})
+	return frameRecord(record{lsn: lsn, op: opCheckpoint, snap: boundary})
 }
 
-// frameRecord wraps a record payload in the length+CRC frame.
+// frameRecord encodes a record straight into its length+CRC frame.
 func frameRecord(rec record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
+	b := make([]byte, frameSize, frameSize+128)
+	b = binary.AppendUvarint(b, rec.lsn)
+	b = append(b, rec.op)
+	b = store.AppendString(b, rec.coll)
+	b = binary.AppendVarint(b, int64(rec.id))
+	b = store.AppendString(b, rec.field)
+	b = binary.AppendUvarint(b, rec.snap)
+	if hasDoc(rec.op) {
+		var err error
+		if b, err = store.AppendDoc(b, rec.doc); err != nil {
+			return nil, err
+		}
 	}
-	out := make([]byte, frameSize+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.Checksum(payload, castagnoli))
-	copy(out[frameSize:], payload)
-	return out, nil
+	return sealFrame(b), nil
+}
+
+// decodeRecord decodes one record payload; trailing bytes are an error.
+func decodeRecord(payload []byte) (record, error) {
+	d := store.NewDecoder(payload)
+	var rec record
+	rec.lsn = d.Uvarint()
+	rec.op = d.Byte()
+	rec.coll = d.Str()
+	rec.id = store.ID(d.Varint())
+	rec.field = d.Str()
+	rec.snap = d.Uvarint()
+	if hasDoc(rec.op) {
+		rec.doc = d.Doc()
+	}
+	switch {
+	case d.Err() != nil:
+		return record{}, fmt.Errorf("wal: record: %w", d.Err())
+	case rec.op < opInsert || rec.op > opCheckpoint:
+		return record{}, fmt.Errorf("wal: record: unknown op %d", rec.op)
+	case d.Len() != 0:
+		return record{}, fmt.Errorf("wal: record: %d trailing bytes", d.Len())
+	}
+	return rec, nil
 }
 
 // segmentHeader renders the 16-byte header of a segment file.
@@ -135,10 +169,11 @@ func (p *ParsedFrame) Data() []byte { return p.data }
 
 // IsCheckpoint reports whether the record is a compaction checkpoint (a
 // boundary marker that mutates nothing).
-func (p *ParsedFrame) IsCheckpoint() bool { return p.rec.Op == opCheckpoint }
+func (p *ParsedFrame) IsCheckpoint() bool { return p.rec.op == opCheckpoint }
 
 // Apply replays the record into db. The database must have no durability
-// hook attached when the caller mirrors frames itself.
+// hook attached when the caller mirrors frames itself. An inserted document
+// moves into db, so apply each parsed frame once.
 func (p *ParsedFrame) Apply(db *store.DB) error { return applyRecord(db, p.rec) }
 
 // ParseFrame validates one framed record — length, checksum, payload — and
@@ -156,11 +191,11 @@ func ParseFrame(frame []byte) (*ParsedFrame, error) {
 	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(frame[4:8]) {
 		return nil, fmt.Errorf("wal: frame checksum mismatch")
 	}
-	var rec record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return nil, fmt.Errorf("wal: frame payload: %w", err)
+	rec, err := decodeRecord(payload)
+	if err != nil {
+		return nil, err
 	}
-	return &ParsedFrame{lsn: rec.LSN, data: frame, rec: rec}, nil
+	return &ParsedFrame{lsn: rec.lsn, data: frame, rec: rec}, nil
 }
 
 // segScan is the result of parsing one segment file.
@@ -172,6 +207,9 @@ type segScan struct {
 	// headerOK is false when the file lacks a valid header for its index;
 	// nothing in it is recoverable.
 	headerOK bool
+	// v1 is set when the header carries the version-1 magic: the file is
+	// intact old-format data, to be refused rather than repaired.
+	v1 bool
 }
 
 // parseSegment reads the records of one segment from buf (the whole file).
@@ -180,36 +218,24 @@ type segScan struct {
 // everything before it is returned and ok is false. Recovery truncates at
 // good and never fails or panics on a torn tail.
 func parseSegment(buf []byte, seg uint64) segScan {
+	if len(buf) >= headerSize && string(buf[:8]) == segMagicV1 {
+		return segScan{v1: true}
+	}
 	if len(buf) < headerSize || string(buf[:8]) != segMagic ||
 		binary.LittleEndian.Uint64(buf[8:16]) != seg {
 		return segScan{}
 	}
-	s := segScan{good: headerSize, headerOK: true}
-	off := int64(headerSize)
-	for {
-		rest := buf[off:]
-		if len(rest) == 0 {
-			s.ok = true
-			return s
+	s := segScan{headerOK: true}
+	end := int64(headerSize)
+	s.good, s.ok = ScanFrames(buf, headerSize, func(payload []byte) bool {
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return false
 		}
-		if len(rest) < frameSize {
-			return s
-		}
-		n := int64(binary.LittleEndian.Uint32(rest[0:4]))
-		if n > maxRecordLen || frameSize+n > int64(len(rest)) {
-			return s
-		}
-		payload := rest[frameSize : frameSize+n]
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(rest[4:8]) {
-			return s
-		}
-		var rec record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return s
-		}
-		off += frameSize + n
+		end += frameSize + int64(len(payload))
 		s.recs = append(s.recs, rec)
-		s.ends = append(s.ends, off)
-		s.good = off
-	}
+		s.ends = append(s.ends, end)
+		return true
+	})
+	return s
 }

@@ -88,6 +88,9 @@ func Open(dir string, opts Options) (*Log, *store.DB, error) {
 			return nil, nil, err
 		}
 		scan := parseSegment(buf, seg)
+		if scan.v1 {
+			return nil, nil, fmt.Errorf("wal: %s is a version-1 (%s) segment; this build reads only %s logs", path, segMagicV1, segMagic)
+		}
 		keep := scan.good
 		bad := !scan.ok
 		for i, rec := range scan.recs {
@@ -98,7 +101,7 @@ func Open(dir string, opts Options) (*Log, *store.DB, error) {
 			// down to a "valid" empty file — and replaying further would
 			// apply a suffix without its prefix. Treat the gap as the torn
 			// point.
-			if (lastLSN != 0 || segIdx > 0) && rec.LSN != lastLSN+1 {
+			if (lastLSN != 0 || segIdx > 0) && rec.lsn != lastLSN+1 {
 				bad = true
 				keep = recStart(scan, i)
 				break
@@ -110,7 +113,7 @@ func Open(dir string, opts Options) (*Log, *store.DB, error) {
 				keep = recStart(scan, i)
 				break
 			}
-			lastLSN = rec.LSN
+			lastLSN = rec.lsn
 			replayed++
 			liveBytes += recStart(scan, i+1) - recStart(scan, i)
 		}
@@ -210,44 +213,36 @@ func recStart(s segScan, i int) int64 {
 // applyRecord replays one WAL record into the store. The store has no
 // durability attached during replay, so nothing is re-logged.
 func applyRecord(db *store.DB, rec record) error {
-	switch rec.Op {
+	switch rec.op {
 	case opInsert:
-		doc, err := store.UnmarshalDoc(rec.Doc)
-		if err != nil {
+		if err := db.Collection(rec.coll).Adopt(rec.id, rec.doc); err != nil {
 			return err
 		}
-		if err := db.Collection(rec.Coll).InsertWithID(store.ID(rec.ID), doc); err != nil {
-			return err
-		}
-		db.AdvanceNextID(store.ID(rec.ID))
+		db.AdvanceNextID(rec.id)
 		return nil
 	case opUpdate:
-		doc, err := store.UnmarshalDoc(rec.Doc)
-		if err != nil {
-			return err
-		}
-		return db.Collection(rec.Coll).Update(store.ID(rec.ID), doc)
+		return db.Collection(rec.coll).Update(rec.id, rec.doc)
 	case opDelete:
-		if !db.Collection(rec.Coll).Delete(store.ID(rec.ID)) {
-			return fmt.Errorf("wal: delete of missing %s/%d", rec.Coll, rec.ID)
+		if !db.Collection(rec.coll).Delete(rec.id) {
+			return fmt.Errorf("wal: delete of missing %s/%d", rec.coll, rec.id)
 		}
 		return nil
 	case opRemField:
-		db.Collection(rec.Coll).RemoveField(rec.Field)
+		db.Collection(rec.coll).RemoveField(rec.field)
 		return nil
 	case opCreateColl:
-		db.Collection(rec.Coll)
+		db.Collection(rec.coll)
 		return nil
 	case opDropColl:
-		db.DropCollection(rec.Coll)
+		db.DropCollection(rec.coll)
 		return nil
 	case opIndex:
-		db.Collection(rec.Coll).EnsureIndex(rec.Field)
+		db.Collection(rec.coll).EnsureIndex(rec.field)
 		return nil
 	case opCheckpoint:
 		return nil // boundary marker; the snapshot choice already used it
 	default:
-		return fmt.Errorf("wal: unknown op %q", rec.Op)
+		return fmt.Errorf("wal: unknown op %d", rec.op)
 	}
 }
 
@@ -269,7 +264,8 @@ func truncateSegment(path string, off int64) error {
 }
 
 // scanDir lists segment and snapshot files by index. Leftover temp files
-// from an interrupted snapshot write are removed.
+// from an interrupted snapshot write are removed. A version-1 JSON
+// snapshot is an error: old data is refused, never silently skipped.
 func scanDir(dir string) (segs, snaps map[uint64]string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -288,8 +284,12 @@ func scanDir(dir string) (segs, snaps map[uint64]string, err error) {
 			segs[idx] = name
 			continue
 		}
-		if n, _ := fmt.Sscanf(name, "snap-%d.json", &idx); n == 1 && name == snapName(idx) {
+		if n, _ := fmt.Sscanf(name, "snap-%d.bin", &idx); n == 1 && name == snapName(idx) {
 			snaps[idx] = name
+			continue
+		}
+		if n, _ := fmt.Sscanf(name, "snap-%d.json", &idx); n == 1 && name == fmt.Sprintf("snap-%08d.json", idx) {
+			return nil, nil, fmt.Errorf("wal: %s is a version-1 JSON snapshot; this build reads only binary snapshots", filepath.Join(dir, name))
 		}
 	}
 	return segs, snaps, nil

@@ -2,7 +2,7 @@
 // CRC32C-checksummed write-ahead log with group commit, crash recovery,
 // and log compaction.
 //
-// Every store mutation is appended as a typed record before the write is
+// Every store mutation is appended as a binary record before the write is
 // acknowledged. A committer goroutine batches concurrent writers into one
 // write + fsync (group commit); SyncEvery/SyncInterval trade durability
 // for throughput. Open replays the latest snapshot plus the live log,
@@ -717,7 +717,7 @@ func pruneBelow(dir string, boundary uint64) {
 }
 
 func segName(i uint64) string  { return fmt.Sprintf("wal-%08d.log", i) }
-func snapName(i uint64) string { return fmt.Sprintf("snap-%08d.json", i) }
+func snapName(i uint64) string { return fmt.Sprintf("snap-%08d.bin", i) }
 
 // SegmentName returns the file name of segment i, for tools and tests that
 // inspect a log directory.

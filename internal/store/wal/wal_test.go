@@ -324,7 +324,7 @@ func TestStaleSnapshotAndTmpCleanup(t *testing.T) {
 	db.Collection("docs").Insert(store.Doc{"i": int64(2)})
 	mustClose(t, l)
 	// Simulate a crash mid-snapshot-write on the next compaction.
-	if err := os.WriteFile(filepath.Join(dir, "snap-00000099.json.tmp"), []byte("junk"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "snap-00000099.bin.tmp"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	l2, db2, err := Open(dir, Options{CompactAfterBytes: -1})
@@ -335,7 +335,7 @@ func TestStaleSnapshotAndTmpCleanup(t *testing.T) {
 	if n := db2.Collection("docs").Len(); n != 2 {
 		t.Fatalf("recovered %d docs, want 2", n)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "snap-00000099.json.tmp")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, "snap-00000099.bin.tmp")); !os.IsNotExist(err) {
 		t.Fatal("tmp file survived recovery")
 	}
 }

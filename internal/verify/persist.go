@@ -285,16 +285,17 @@ func OpenVerdictDB(path string) (*VerdictDB, error) {
 		}
 		return d, nil
 	}
-	good, clean := wal.ScanFrames(buf, int64(len(verdictMagic)), func(payload []byte) {
+	good, clean := wal.ScanFrames(buf, int64(len(verdictMagic)), func(payload []byte) bool {
 		key, res, derr := decodeRecord(payload)
 		if derr != nil {
 			// The frame survived its checksum but the payload is not a
 			// record we understand (version skew, bit rot inside a valid
 			// CRC). Skip it; later records are still framed correctly.
 			d.corrupt++
-			return
+			return true
 		}
 		d.m[key] = res
+		return true
 	})
 	if !clean {
 		// Crash mid-append: drop the torn tail so the next append starts on

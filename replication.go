@@ -42,38 +42,19 @@ var ErrReadOnly = orm.ErrReadOnly
 // policies without being handed the migration history out of band.
 const specCollection = "$spec"
 
-// persistSpec stores the current specification text in the database. The
-// document also carries a monotonically increasing epoch, bumped only when
-// the text actually changes: re-persisting an unchanged spec (a
-// crash-resumed migration replaying its final step) is a no-op, so the
-// epoch — and the logged bytes — are the same however many times a
-// recovery retraces the commit.
+// persistSpec stores the current specification text in the database.
+// Re-persisting an unchanged spec (a crash-resumed migration replaying its
+// final step) is a no-op, so the logged bytes are the same however many
+// times a recovery retraces the commit.
 func persistSpec(db *store.DB, text string) {
 	c := db.Collection(specCollection)
 	if docs := c.Find(); len(docs) > 0 {
-		if s, _ := docs[0]["spec"].(string); s == text {
-			return
+		if s, _ := docs[0]["spec"].(string); s != text {
+			c.Update(docs[0].ID(), store.Doc{"spec": text})
 		}
-		epoch, _ := docs[0]["epoch"].(int64)
-		c.Update(docs[0].ID(), store.Doc{"spec": text, "epoch": epoch + 1})
 		return
 	}
-	c.Insert(store.Doc{"spec": text, "epoch": int64(1)})
-}
-
-// loadSpecEpoch reads the spec epoch out of a database without creating
-// the reserved collection; 0 means no spec has ever been persisted.
-func loadSpecEpoch(db *store.DB) int64 {
-	c, ok := db.Lookup(specCollection)
-	if !ok {
-		return 0
-	}
-	docs := c.Find()
-	if len(docs) == 0 {
-		return 0
-	}
-	epoch, _ := docs[0]["epoch"].(int64)
-	return epoch
+	c.Insert(store.Doc{"spec": text})
 }
 
 // loadSpecText reads the specification text out of a database, without
@@ -152,11 +133,6 @@ func (w *Workspace) StateHash() (uint64, string, error) {
 	h, err := dbHash(w.db)
 	return w.DurableLSN(), h, err
 }
-
-// SpecEpoch reports the monotonic version of the persisted specification:
-// 0 before any spec is persisted, bumped by every migration that changes
-// the spec text. Two workspaces replaying the same history agree on it.
-func (w *Workspace) SpecEpoch() int64 { return loadSpecEpoch(w.db) }
 
 // FollowerWorkspace is a read-only replica of a primary workspace: it
 // mirrors the primary's write-ahead log into its own directory, applies

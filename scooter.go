@@ -520,9 +520,8 @@ func (w *Workspace) MigrateNamedOpts(name, src string, opts Options) (bool, erro
 		// Journal replays (applied == false) only advance the in-memory
 		// schema: the durable $spec already reflects a state at or past this
 		// migration. Rewriting it with the intermediate spec would log a new
-		// $spec record and bump the epoch on every replayed step, so a
-		// recovered workspace's state would differ from one that never
-		// crashed.
+		// $spec record on every replayed step, so a recovered workspace's
+		// log would differ from one that never crashed.
 		persistSpec(w.db, w.SpecText())
 	}
 	if w.journaled == nil {
@@ -586,10 +585,10 @@ func (w *Workspace) AppliedMigrations() []migrate.JournalEntry {
 }
 
 // workspaceState is the serialised form of a workspace: the authoritative
-// specification plus a typed database snapshot.
+// specification plus a binary database snapshot (base64 in the JSON).
 type workspaceState struct {
-	Spec string          `json:"spec"`
-	DB   json.RawMessage `json:"db"`
+	Spec string `json:"spec"`
+	DB   []byte `json:"db"`
 }
 
 // SaveState serialises the workspace — specification and database — so a
