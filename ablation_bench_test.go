@@ -1,6 +1,5 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: prior-
-// definition tracking (paper §6.4) and theory-conflict core minimisation in
-// the CDCL(T) loop.
+// Ablation benchmarks for prior-definition tracking (paper §6.4), the
+// design choice DESIGN.md calls out.
 package scooter_test
 
 import (
@@ -8,8 +7,6 @@ import (
 
 	"scooter/internal/migrate"
 	"scooter/internal/parser"
-	"scooter/internal/typer"
-	"scooter/internal/verify"
 )
 
 // moderatorScript is the §2.2 migration whose email update only verifies
@@ -59,48 +56,3 @@ func BenchmarkAblation_EquivalenceTracking_Off(b *testing.B) {
 		}
 	}
 }
-
-// coreMinimizationQuery is a strictness proof whose refutation needs several
-// theory-conflict rounds.
-const ablationSpec = `
-@principal
-User {
-  create: public,
-  delete: none,
-  isAdmin: Bool { read: public, write: none },
-  adminLevel: I64 { read: public, write: none },
-  followers: Set(Id(User)) { read: public, write: none }}
-`
-
-func coreMinimizationBench(b *testing.B, disable bool) {
-	s := mustSchema(b, ablationSpec)
-	pOld, err := parser.ParsePolicy(`u -> [u] + User::Find({adminLevel >= 1}) + u.followers`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pNew, err := parser.ParsePolicy(`u -> [u] + User::Find({adminLevel >= 2, isAdmin: true})`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := typer.New(s).CheckPolicy("User", pOld); err != nil {
-		b.Fatal(err)
-	}
-	if err := typer.New(s).CheckPolicy("User", pNew); err != nil {
-		b.Fatal(err)
-	}
-	checker := verify.New(s, nil)
-	checker.DisableCoreMinimization = disable
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := checker.CheckStrictness("User", pOld, pNew)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Verdict != verify.Safe {
-			b.Fatalf("verdict %v", res.Verdict)
-		}
-	}
-}
-
-func BenchmarkAblation_CoreMinimization_On(b *testing.B)  { coreMinimizationBench(b, false) }
-func BenchmarkAblation_CoreMinimization_Off(b *testing.B) { coreMinimizationBench(b, true) }

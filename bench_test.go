@@ -139,7 +139,7 @@ func BenchmarkSec53_VerifySpeed_Study_Cached(b *testing.B) {
 
 // BenchmarkSec53_VerifySpeed_Study_Metrics is the cached replay with the
 // full observability stack attached on top of everything the Cached
-// variant carries — verify + solver metric sets in a live registry —
+// variant carries — the verify metric set in a live registry —
 // so the delta against BenchmarkSec53_VerifySpeed_Study_Cached is
 // attributable purely to the obs layer (EXPERIMENTS.md reports it
 // against a <2% target).
@@ -159,7 +159,6 @@ func BenchmarkSec53_VerifySpeed_Study_Metrics(b *testing.B) {
 			opts.Cache = verify.NewCache(0)
 			opts.Stats = &verify.Stats{}
 			opts.Metrics = obs.NewVerifyMetrics(reg)
-			opts.SolverMetrics = obs.NewSolverMetrics(reg)
 			if _, _, err := study.RunScripts(scripts, opts); err != nil {
 				b.Fatal(err)
 			}

@@ -23,7 +23,7 @@
 //
 // -solver-rounds tunes the per-query SMT round budget, -cache-size bounds
 // the verdict cache shared across all scripts on the command line (0
-// disables it), and -stats prints cache/solver counters on exit.
+// disables it), and -stats prints store/solver counters on exit.
 //
 // -trace FILE writes one JSON event per strictness proof (fingerprint,
 // verdict, cache hit, solver counters, duration). Tracing forces proofs to
@@ -33,15 +33,17 @@
 // -verdict-db FILE persists verdicts across runs (and across machines that
 // share the file): verdicts proved once are looked up by the query's
 // alpha-invariant fingerprint, counterexamples included, so a warm replay
-// prints byte-identical output without solving. A truncated or damaged
+// prints byte-identical output without solving. The store then replaces
+// the verdict cache rather than sitting behind it. A truncated or damaged
 // store degrades to a cold start, never an error.
 //
-// -timeout bounds the whole run and -proof-timeout bounds each individual
-// strictness proof. An exhausted budget is never an error: the affected
-// proof reports UNKNOWN with the reason (deadline, solver round cap, ...)
-// and the process exits 3 so CI can distinguish "retry with a larger
-// budget" from a real violation. Interrupting the run (Ctrl-C) degrades
-// the same way.
+// -timeout bounds the whole run and -proof-timeout bounds each strictness
+// proof (one budget for all principal kinds of that proof, which are
+// proved one after another). An exhausted budget is never an error: the
+// affected proof reports UNKNOWN with the reason (deadline, solver round
+// cap, ...) and the process exits 3 so CI can distinguish "retry with a
+// larger budget" from a real violation. Interrupting the run (Ctrl-C)
+// degrades the same way.
 //
 // Exit status is 0 when every check passes, 1 on a violation (the
 // counterexample is printed), 2 on usage or parse errors, and 3 when a
@@ -201,8 +203,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *showStats {
 		fmt.Fprintf(stderr, "sidecar: %s\n", stats.Snapshot())
 		if vdb != nil {
-			h, m, corrupt := vdb.Counters()
-			fmt.Fprintf(stderr, "sidecar: verdict-db %d hit / %d miss / %d corrupt · %d stored\n", h, m, corrupt, vdb.Len())
+			fmt.Fprintf(stderr, "sidecar: verdict-db %d corrupt · %d stored\n", vdb.Corrupt(), vdb.Len())
 		}
 	}
 	return code

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -247,5 +248,43 @@ func TestTraceDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("traces differ across runs:\nrun A: %d events\nrun B: %d events", len(a), len(b))
+	}
+}
+
+// TestStatsWarmVerdictDB runs the visitday history twice against one
+// -verdict-db with -stats. The warm rerun answers every query from the
+// store, so its -stats line reports no solves and the store's hits.
+func TestStatsWarmVerdictDB(t *testing.T) {
+	scripts, err := filepath.Glob(filepath.Join("..", "..", "internal", "casestudies", "corpus", "visitday", "*.scm"))
+	if err != nil || len(scripts) == 0 {
+		t.Fatalf("visitday corpus not found: %v", err)
+	}
+	sort.Strings(scripts)
+	db := filepath.Join(t.TempDir(), "verdicts.db")
+	runOnce := func() string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"-verdict-db", db, "-stats"}, scripts...)
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("exit code %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+		}
+		return stderr.String()
+	}
+	persistHits := regexp.MustCompile(`persist (\d+) hit / (\d+) miss`)
+
+	cold := runOnce()
+	if strings.Contains(cold, "· 0 queries solved") {
+		t.Fatalf("cold run solved nothing:\n%s", cold)
+	}
+	warm := runOnce()
+	if !strings.Contains(warm, "· 0 queries solved") {
+		t.Errorf("warm run solved queries:\n%s", warm)
+	}
+	m := persistHits.FindStringSubmatch(warm)
+	if m == nil || m[1] == "0" || m[2] != "0" {
+		t.Errorf("warm run: want persist hits and no misses:\n%s", warm)
+	}
+	if !regexp.MustCompile(`verdict-db 0 corrupt · [1-9]\d* stored`).MatchString(warm) {
+		t.Errorf("warm run: missing verdict-db line:\n%s", warm)
 	}
 }

@@ -25,8 +25,9 @@
 // domains, universes are enumerated up to document renaming, and the total
 // is capped — exceeding the cap yields Inconclusive, never a silent skip.
 //
-// Verdicts flow through the same fingerprint LRU (verify.Cache) and
-// persistent store (verify.VerdictDB) as strictness proofs, keyed by a
+// Verdicts flow through the same verdict store as strictness proofs (the
+// persistent verify.VerdictDB when one is attached, else the fingerprint
+// LRU verify.Cache), keyed by a
 // canonical fingerprint of the source spec, both sides, and the bounds, so
 // a warm replay reproduces cold output byte for byte.
 package equivcheck
@@ -102,8 +103,8 @@ type Options struct {
 	// never share an entry.
 	Kind string
 	// Cache, when set, memoizes equivalence verdicts alongside strictness
-	// verdicts; VerdictDB persists them. The inner policy proofs use both
-	// as well, under their own strictness keys.
+	// verdicts; VerdictDB, when set, persists them instead. The inner
+	// policy proofs use the same store under their own strictness keys.
 	Cache     *verify.Cache
 	VerdictDB *verify.VerdictDB
 	// Metrics, when set, observes each check in the workspace registry.
@@ -200,20 +201,7 @@ func Check(before *schema.Schema, a, b Side, opts Options) (*Report, error) {
 	}
 
 	key := cacheKey(before, a, b, bound, maxU, rounds, kind)
-	if opts.Cache != nil {
-		if res, ok := opts.Cache.Lookup(key); ok {
-			// Re-put so a store attached after the memory cache warmed up
-			// still captures the verdict (Put dedups).
-			opts.VerdictDB.Put(key, res)
-			rep := reportFromResult(&res, bound)
-			observe(opts.Metrics, rep, start)
-			return rep, nil
-		}
-	}
-	if res, ok := opts.VerdictDB.Lookup(key); ok {
-		if opts.Cache != nil {
-			opts.Cache.Insert(key, res)
-		}
+	if res, ok := verify.LookupVerdict(opts.Cache, opts.VerdictDB, nil, key); ok {
 		rep := reportFromResult(&res, bound)
 		observe(opts.Metrics, rep, start)
 		return rep, nil
@@ -227,11 +215,7 @@ func Check(before *schema.Schema, a, b Side, opts Options) (*Report, error) {
 	if rep.Verdict != Inconclusive {
 		// Inconclusive is never cached — which budget ran out depends on
 		// the run, matching the strictness-verdict cache rule.
-		res := resultFromReport(rep)
-		if opts.Cache != nil {
-			opts.Cache.Insert(key, res)
-		}
-		opts.VerdictDB.Put(key, res)
+		verify.StoreVerdict(opts.Cache, opts.VerdictDB, key, resultFromReport(rep))
 	}
 	observe(opts.Metrics, rep, start)
 	return rep, nil
@@ -424,8 +408,8 @@ func policyCounterexample(loc, admittedBy string, inner *verify.Counterexample) 
 
 // cacheKey fingerprints a check: the canonical source spec, both sides'
 // identities, and every parameter a verdict depends on. The key shares
-// verify.CacheKey so equivalence verdicts live in the same LRU and
-// VerdictDB as strictness verdicts, distinguished by Kind.
+// verify.CacheKey so equivalence verdicts live in the same store as
+// strictness verdicts, distinguished by Kind.
 func cacheKey(before *schema.Schema, a, b Side, bound, maxU, rounds int, kind string) verify.CacheKey {
 	payload := strings.Join([]string{
 		"equivcheck-v1",

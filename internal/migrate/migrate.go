@@ -36,9 +36,9 @@ type Options struct {
 	// SolverRounds overrides the per-query SMT round budget
 	// (verify.DefaultSolverRounds when 0).
 	SolverRounds int
-	// Cache, when set, memoizes strictness verdicts so a whole migration
-	// history (or a CI fleet replaying many histories) shares one verdict
-	// cache. See verify.NewCache.
+	// Cache, when set and VerdictDB is not, memoizes strictness verdicts so
+	// a whole migration history (or a CI fleet replaying many histories)
+	// shares one verdict cache. See verify.NewCache.
 	Cache *verify.Cache
 	// Stats, when set, accumulates verification counters across commands.
 	Stats *verify.Stats
@@ -50,9 +50,11 @@ type Options struct {
 	// is done come back Inconclusive (never an error or a panic), so a
 	// Ctrl-C or a global -timeout yields a readable report.
 	Context context.Context
-	// ProofTimeout bounds the wall clock of each individual strictness
-	// proof. A proof that exceeds it yields Inconclusive with a deadline
-	// reason; sibling proofs are unaffected.
+	// ProofTimeout bounds the wall clock of each deferred strictness
+	// check: one budget covers that check's per-principal-kind proofs
+	// together, which run one after another. A check that exceeds it
+	// yields Inconclusive with a deadline reason; sibling checks are
+	// unaffected.
 	ProofTimeout time.Duration
 	// SolverConflicts, when positive, caps SAT conflicts per query
 	// (deterministic alternative to ProofTimeout).
@@ -64,14 +66,13 @@ type Options struct {
 	// a crash-resumed run re-executes unapplied commands byte-identically.
 	Clock func() time.Time
 	// Metrics, when set, observes each strictness proof in the workspace
-	// registry; SolverMetrics observes each underlying SMT solve.
-	Metrics       *obs.VerifyMetrics
-	SolverMetrics *obs.SolverMetrics
+	// registry.
+	Metrics *obs.VerifyMetrics
 	// Trace, when set, receives one JSON event per strictness proof.
 	// Combine with Sequential for a deterministic event order.
 	Trace *obs.Tracer
-	// VerdictDB, when set, is the persistent verdict store: verdicts are
-	// looked up there after a memory-cache miss and appended after every
+	// VerdictDB, when set, is the persistent verdict store and replaces
+	// Cache: verdicts are looked up there and appended after every
 	// definitive proof, so a later run (or another machine sharing the
 	// file) skips the solver entirely for already-proved queries.
 	VerdictDB *verify.VerdictDB
@@ -301,7 +302,6 @@ func newChecker(s *schema.Schema, defs *equiv.Defs, opts Options) *verify.Checke
 	c.Cache = opts.Cache
 	c.Stats = opts.Stats
 	c.Metrics = opts.Metrics
-	c.SolverMetrics = opts.SolverMetrics
 	c.Trace = opts.Trace
 	c.Persist = opts.VerdictDB
 	return c

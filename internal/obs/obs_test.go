@@ -95,8 +95,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var sm *SolverMetrics
-	sm.RecordSolve(1, 1, 1, 1, 1, 1)
 	var vm *VerifyMetrics
 	vm.ObserveProof(0.1)
 	vm.RecordUnknown("deadline")
@@ -127,7 +125,6 @@ func TestNilSafety(t *testing.T) {
 // data-race check for the whole obs core.
 func TestConcurrentScrape(t *testing.T) {
 	reg := NewRegistry()
-	sm := NewSolverMetrics(reg)
 	vm := NewVerifyMetrics(reg)
 	wm := NewWALMetrics(reg)
 	rm := NewReplicaMetrics(reg)
@@ -140,7 +137,6 @@ func TestConcurrentScrape(t *testing.T) {
 		go func() {
 			defer writerWG.Done()
 			for j := 0; j < iters; j++ {
-				sm.RecordSolve(2, 3, 5, 7, 11, 1)
 				vm.ObserveProof(0.002)
 				vm.RecordUnknown("deadline")
 				wm.RecordAppend()
@@ -175,9 +171,6 @@ func TestConcurrentScrape(t *testing.T) {
 	<-scraperDone
 
 	total := int64(writers * iters)
-	if got := sm.Conflicts.Value(); got != 5*total {
-		t.Errorf("conflicts = %d, want %d", got, 5*total)
-	}
 	if got := vm.ProofSeconds.Count(); got != total {
 		t.Errorf("proof observations = %d, want %d", got, total)
 	}

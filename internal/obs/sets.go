@@ -13,45 +13,6 @@ var SecondsBuckets = []float64{
 // BatchBuckets is the default layout for group-commit batch sizes.
 var BatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
-// SolverMetrics aggregates CDCL(T) effort across every solve issued by a
-// workspace: one RecordSolve per solver.Check.
-type SolverMetrics struct {
-	Solves       *Counter
-	Rounds       *Counter
-	TheoryChecks *Counter
-	Conflicts    *Counter
-	Decisions    *Counter
-	Propagations *Counter
-	Restarts     *Counter
-}
-
-// NewSolverMetrics registers the scooter_solver_* family in reg.
-func NewSolverMetrics(reg *Registry) *SolverMetrics {
-	return &SolverMetrics{
-		Solves:       reg.Counter("scooter_solver_solves_total", "SMT solver invocations."),
-		Rounds:       reg.Counter("scooter_solver_rounds_total", "CDCL(T) abstraction-refinement rounds."),
-		TheoryChecks: reg.Counter("scooter_solver_theory_checks_total", "Theory (simplex) consistency checks."),
-		Conflicts:    reg.Counter("scooter_solver_conflicts_total", "SAT conflicts analysed."),
-		Decisions:    reg.Counter("scooter_solver_decisions_total", "SAT decisions taken."),
-		Propagations: reg.Counter("scooter_solver_propagations_total", "SAT unit propagations."),
-		Restarts:     reg.Counter("scooter_solver_restarts_total", "SAT Luby restarts."),
-	}
-}
-
-// RecordSolve adds one solve's counters. Nil-safe.
-func (m *SolverMetrics) RecordSolve(rounds, theoryChecks int, conflicts, decisions, props, restarts int64) {
-	if m == nil {
-		return
-	}
-	m.Solves.Inc()
-	m.Rounds.Add(int64(rounds))
-	m.TheoryChecks.Add(int64(theoryChecks))
-	m.Conflicts.Add(conflicts)
-	m.Decisions.Add(decisions)
-	m.Propagations.Add(props)
-	m.Restarts.Add(restarts)
-}
-
 // VerifyMetrics observes the verification pipeline around the solver:
 // proofs completed, per-proof wall time, and Unknown verdicts by the
 // exhausted budget's limits.Reason.
@@ -61,10 +22,9 @@ type VerifyMetrics struct {
 	Unknowns     *CounterVec
 }
 
-// NewVerifyMetrics registers the scooter_verify_* family in reg. The
-// cache's own hit/miss/eviction counters are exposed separately via
-// CounterFunc collectors reading verify.Cache.Counters (no double
-// bookkeeping on the hot path).
+// NewVerifyMetrics registers the scooter_verify_* family in reg. Store
+// lookups and solver effort are not counted here: a Workspace exports them
+// as CounterFunc collectors over its verify.Stats, the one counter set.
 func NewVerifyMetrics(reg *Registry) *VerifyMetrics {
 	return &VerifyMetrics{
 		Proofs:       reg.Counter("scooter_verify_proofs_total", "Strictness proofs completed (all verdicts)."),

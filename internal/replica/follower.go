@@ -2,6 +2,7 @@ package replica
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -319,12 +320,17 @@ func (f *Follower) session() (handshook bool, err error) {
 	case "snapshot":
 		// The primary compacted past our position; our history is now
 		// only reachable through its snapshot. Read it and rebuild.
-		snap := make([]byte, reply.Size)
+		// Size is the peer's claim, not a fact: refuse a negative one, and
+		// let memory grow only with the bytes that actually arrive.
+		if reply.Size < 0 {
+			return false, fmt.Errorf("replica: negative bootstrap snapshot size %d", reply.Size)
+		}
+		var snap bytes.Buffer
 		conn.SetReadDeadline(time.Now().Add(2 * time.Minute))
-		if _, err := io.ReadFull(br, snap); err != nil {
+		if _, err := io.CopyN(&snap, br, reply.Size); err != nil {
 			return true, fmt.Errorf("replica: reading bootstrap snapshot: %w", err)
 		}
-		if err := f.rebootstrap(reply, snap); err != nil {
+		if err := f.rebootstrap(reply, snap.Bytes()); err != nil {
 			return true, fmt.Errorf("%w: bootstrap: %v", errFatal, err)
 		}
 		expected = reply.Boundary

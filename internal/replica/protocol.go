@@ -78,17 +78,28 @@ func writeJSONLine(w io.Writer, v any) error {
 	return err
 }
 
+// maxHandshakeLine bounds a handshake line, newline included.
+const maxHandshakeLine = 1 << 16
+
 // readJSONLine decodes one newline-terminated JSON value from a buffered
-// reader, bounding the line length.
+// reader. The peer is untrusted: reading stops with an error once the line
+// passes maxHandshakeLine, so at most maxHandshakeLine+1 bytes are
+// consumed whether or not a newline ever arrives.
 func readJSONLine(r *bufio.Reader, v any) error {
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		return err
+	var line []byte
+	for {
+		b, err := r.ReadByte()
+		if err != nil {
+			return err
+		}
+		line = append(line, b)
+		if len(line) > maxHandshakeLine {
+			return fmt.Errorf("replica: handshake line longer than %d bytes", maxHandshakeLine)
+		}
+		if b == '\n' {
+			return json.Unmarshal(line, v)
+		}
 	}
-	if len(line) > 1<<16 {
-		return fmt.Errorf("replica: handshake line too long (%d bytes)", len(line))
-	}
-	return json.Unmarshal(line, v)
 }
 
 // writeFrameMsg ships one WAL frame.

@@ -14,7 +14,6 @@ package solver
 import (
 	"math/big"
 
-	"scooter/internal/obs"
 	"scooter/internal/smt/cnf"
 	"scooter/internal/smt/euf"
 	"scooter/internal/smt/limits"
@@ -68,16 +67,6 @@ type Solver struct {
 	// the SAT core each conflict, and the simplex each pivot stride.
 	Limits *limits.Checker
 
-	// DisableCoreMinimization skips deletion-based shrinking of theory
-	// conflicts, blocking the full assignment instead. Exposed for the
-	// ablation benchmarks; minimisation produces far stronger lemmas.
-	DisableCoreMinimization bool
-
-	// Metrics, when set, receives one RecordSolve per Check with the
-	// search effort spent (rounds, theory checks, SAT counters). Nil is a
-	// no-op sink.
-	Metrics *obs.SolverMetrics
-
 	sat  *sat.Solver
 	conv *cnf.Converter
 
@@ -116,12 +105,6 @@ func (s *Solver) Check() (Status, error) {
 	s.model = nil
 	s.TheoryChecks = 0
 	s.sat = sat.New()
-	if s.Metrics != nil {
-		defer func() {
-			c, d, p := s.sat.Stats()
-			s.Metrics.RecordSolve(s.Rounds, s.TheoryChecks, c, d, p, s.sat.Restarts())
-		}()
-	}
 	s.sat.Limits = s.Limits
 	s.sat.MaxConflicts = s.MaxConflicts
 	s.conv = cnf.New(s.B, s.sat)
@@ -158,12 +141,11 @@ func (s *Solver) Check() (Status, error) {
 			return s.giveUp(err)
 		}
 		if !tc.ok {
-			core := lits
-			if !s.DisableCoreMinimization {
-				core, err = s.minimizeCore(lits)
-				if err != nil {
-					return s.giveUp(err)
-				}
+			// Deletion-based minimisation turns the conflict into a far
+			// stronger lemma than blocking the whole assignment.
+			core, err := s.minimizeCore(lits)
+			if err != nil {
+				return s.giveUp(err)
 			}
 			s.blockLits(core)
 			continue

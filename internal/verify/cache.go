@@ -23,11 +23,10 @@ type CacheKey struct {
 	Fp   term.Fp
 	Aux  uint64
 	Kind string
-	// Rounds/NoCoreMin are the solver options: a verdict proved under a
-	// smaller round budget must not answer for a larger one (and vice
-	// versa — Inconclusive depends on the budget).
-	Rounds    int
-	NoCoreMin bool
+	// Rounds is the solver's round budget: a verdict proved under a
+	// smaller budget must not answer for a larger one (and vice versa —
+	// Inconclusive depends on the budget).
+	Rounds int
 }
 
 // Cache is a concurrency-safe, bounded LRU verdict cache. Violation
@@ -40,7 +39,7 @@ type Cache struct {
 	ll  *list.List // front = most recent
 	m   map[CacheKey]*list.Element
 
-	hits, misses, evictions int64
+	evictions int64
 }
 
 type cacheEntry struct {
@@ -64,11 +63,12 @@ func (c *Cache) Len() int {
 	return c.ll.Len()
 }
 
-// Counters reports lifetime hit/miss/eviction counts.
-func (c *Cache) Counters() (hits, misses, evictions int64) {
+// Evictions reports how many verdicts the capacity bound has evicted.
+// Lookups are counted in Stats, not here.
+func (c *Cache) Evictions() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions
+	return c.evictions
 }
 
 // Lookup returns the cached result for key. The returned Result is a
@@ -79,10 +79,8 @@ func (c *Cache) Lookup(key CacheKey) (Result, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.m[key]
 	if !ok {
-		c.misses++
 		return Result{}, false
 	}
-	c.hits++
 	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).res, true
 }
@@ -112,14 +110,43 @@ func (c *Cache) Insert(key CacheKey, res Result) {
 	}
 }
 
+// LookupVerdict answers key from the one verdict store a proof uses: db
+// when it is attached, else cache (either may be nil). The lookup is
+// counted in st (nil-safe) under that store's tier.
+func LookupVerdict(cache *Cache, db *VerdictDB, st *Stats, key CacheKey) (Result, bool) {
+	switch {
+	case db != nil:
+		res, ok := db.Lookup(key)
+		st.recordLookup(true, ok)
+		return res, ok
+	case cache != nil:
+		res, ok := cache.Lookup(key)
+		st.recordLookup(false, ok)
+		return res, ok
+	}
+	return Result{}, false
+}
+
+// StoreVerdict records res under key in the store LookupVerdict reads:
+// db when it is attached, else cache (either may be nil). Inconclusive
+// results are dropped by both stores.
+func StoreVerdict(cache *Cache, db *VerdictDB, key CacheKey, res Result) {
+	switch {
+	case db != nil:
+		db.Put(key, res)
+	case cache != nil:
+		cache.Insert(key, res)
+	}
+}
+
 // QueryKey derives the cache key for a lowered leakage query under the
-// given solver options. Beyond the formula itself, the fingerprint covers
+// given round budget. Beyond the formula itself, the fingerprint covers
 // the principal and instance terms and the string-literal/static
 // constants in sorted-value order: alpha-renaming canonicalises constant
 // names, so these extra roots pin each special constant's role — two
 // queries whose literals swap places hash differently, keeping retained
 // counterexamples faithful.
-func QueryKey(q *lower.Query, rounds int, noCoreMin bool) CacheKey {
+func QueryKey(q *lower.Query, rounds int) CacheKey {
 	roots := []term.T{q.Formula, q.PrincipalTerm, q.InstanceTerm}
 	for _, lit := range sortedKeys(q.StringLits) {
 		roots = append(roots, q.StringLits[lit])
@@ -128,11 +155,10 @@ func QueryKey(q *lower.Query, rounds int, noCoreMin bool) CacheKey {
 		roots = append(roots, q.Statics[st])
 	}
 	return CacheKey{
-		Fp:        q.B.Fingerprint(roots...),
-		Aux:       auxDigest(q),
-		Kind:      q.Kind.String(),
-		Rounds:    rounds,
-		NoCoreMin: noCoreMin,
+		Fp:     q.B.Fingerprint(roots...),
+		Aux:    auxDigest(q),
+		Kind:   q.Kind.String(),
+		Rounds: rounds,
 	}
 }
 

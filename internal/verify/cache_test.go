@@ -28,7 +28,7 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 			t.Errorf("key %d: got (%v, %v), want (%v, true)", n, res.Verdict, ok, want)
 		}
 	}
-	if _, _, evictions := c.Counters(); evictions != 1 {
+	if evictions := c.Evictions(); evictions != 1 {
 		t.Errorf("evictions = %d, want 1", evictions)
 	}
 }
@@ -44,18 +44,6 @@ func TestCacheLookupRefreshesRecency(t *testing.T) {
 	}
 	if _, ok := c.Lookup(key(2)); ok {
 		t.Error("key 2 should have been evicted")
-	}
-}
-
-func TestCacheCounters(t *testing.T) {
-	c := NewCache(8)
-	c.Lookup(key(1))
-	c.Insert(key(1), Result{Verdict: Safe})
-	c.Lookup(key(1))
-	c.Lookup(key(1))
-	hits, misses, evictions := c.Counters()
-	if hits != 2 || misses != 1 || evictions != 0 {
-		t.Errorf("counters = (%d, %d, %d), want (2, 1, 0)", hits, misses, evictions)
 	}
 }
 
@@ -158,11 +146,7 @@ func TestConcurrentCheckerSharedCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hits, _, _ := c.Cache.Counters()
-	if hits == 0 {
+	if c.Stats.Snapshot().CacheHits == 0 {
 		t.Error("expected cache hits during concurrent re-verification")
-	}
-	if n := c.Stats.Snapshot().CacheHits; n != hits {
-		t.Errorf("Stats.CacheHits = %d, cache reports %d", n, hits)
 	}
 }

@@ -10,11 +10,12 @@ import (
 	"scooter/internal/store/wal"
 )
 
-// VerdictDB is a persistent, shareable verdict store: the on-disk companion
-// to the in-memory Cache. Verdicts are keyed by the same alpha-invariant
-// CacheKey, so a database written by one sidecar run answers for any later
-// run (or any other checkout of the same spec history) whose queries lower
-// to the same formulas. Violation entries retain the fully rendered
+// VerdictDB is a persistent, shareable verdict store: the on-disk
+// alternative to the in-memory Cache. When one is attached it is a proof's
+// only verdict store (see LookupVerdict). Verdicts are keyed by the same
+// alpha-invariant CacheKey, so a database written by one sidecar run
+// answers for any later run (or any other checkout of the same spec
+// history) whose queries lower to the same formulas. Violation entries retain the fully rendered
 // counterexample — a warm replay reproduces cold output byte for byte.
 //
 // The file format is an 8-byte magic header followed by append-only records
@@ -31,7 +32,7 @@ type VerdictDB struct {
 	m        map[CacheKey]Result
 	writeErr error
 
-	hits, misses, corrupt int64
+	corrupt int64
 }
 
 // verdictMagic identifies a verdict-store file (and its format version).
@@ -39,11 +40,10 @@ const verdictMagic = "SCVDB001"
 
 // vdbRecord is the persisted form of one (key, result) pair.
 type vdbRecord struct {
-	Fp        [2]uint64 `json:"fp"`
-	Aux       uint64    `json:"aux"`
-	Kind      string    `json:"kind"`
-	Rounds    int       `json:"rounds"`
-	NoCoreMin bool      `json:"nocoremin,omitempty"`
+	Fp     [2]uint64 `json:"fp"`
+	Aux    uint64    `json:"aux"`
+	Kind   string    `json:"kind"`
+	Rounds int       `json:"rounds"`
 
 	Verdict    int    `json:"v"`
 	KindModel  string `json:"km,omitempty"`
@@ -139,6 +139,11 @@ func decodeRaw(v *vdbValue) (any, error) {
 		}
 		return *v.Ref, nil
 	case "refs":
+		if len(v.Refs) == 0 {
+			// An empty set encodes like an absent one (omitempty), so
+			// both decode to nil and a re-encoded record reads back equal.
+			return []Ref(nil), nil
+		}
 		return v.Refs, nil
 	case "opt":
 		if v.Opt == nil {
@@ -183,7 +188,6 @@ func encodeRecord(key CacheKey, res Result) ([]byte, error) {
 		Aux:        key.Aux,
 		Kind:       key.Kind,
 		Rounds:     key.Rounds,
-		NoCoreMin:  key.NoCoreMin,
 		Verdict:    int(res.Verdict),
 		KindModel:  res.Kind.Model,
 		KindStatic: res.Kind.Static,
@@ -220,13 +224,7 @@ func decodeRecord(payload []byte) (CacheKey, Result, error) {
 	if rec.Verdict != int(Safe) && rec.Verdict != int(Violation) {
 		return CacheKey{}, Result{}, fmt.Errorf("verify: persisted verdict %d out of range", rec.Verdict)
 	}
-	key := CacheKey{
-		Fp:        rec.Fp,
-		Aux:       rec.Aux,
-		Kind:      rec.Kind,
-		Rounds:    rec.Rounds,
-		NoCoreMin: rec.NoCoreMin,
-	}
+	key := CacheKey{Fp: rec.Fp, Aux: rec.Aux, Kind: rec.Kind, Rounds: rec.Rounds}
 	res := Result{
 		Verdict:    Verdict(rec.Verdict),
 		Kind:       lower.PrincipalKind{Model: rec.KindModel, Static: rec.KindStatic},
@@ -334,11 +332,6 @@ func (d *VerdictDB) Lookup(key CacheKey) (Result, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	res, ok := d.m[key]
-	if ok {
-		d.hits++
-	} else {
-		d.misses++
-	}
 	return res, ok
 }
 
@@ -378,15 +371,15 @@ func (d *VerdictDB) Len() int {
 	return len(d.m)
 }
 
-// Counters reports lifetime lookup hits, misses, and corrupt records
-// skipped (or tails truncated) while loading.
-func (d *VerdictDB) Counters() (hits, misses, corrupt int64) {
+// Corrupt reports the corrupt records skipped (or tails truncated) while
+// loading. Lookups are counted in Stats, not here.
+func (d *VerdictDB) Corrupt() int64 {
 	if d == nil {
-		return 0, 0, 0
+		return 0
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.hits, d.misses, d.corrupt
+	return d.corrupt
 }
 
 // Close flushes and closes the store, returning the first append error if

@@ -144,7 +144,7 @@ func TestVerdictDBTornTailTruncated(t *testing.T) {
 	if d2.Len() != 1 {
 		t.Fatalf("Len = %d after torn tail, want 1", d2.Len())
 	}
-	if _, _, corrupt := d2.Counters(); corrupt != 1 {
+	if corrupt := d2.Corrupt(); corrupt != 1 {
 		t.Fatalf("corrupt counter = %d, want 1", corrupt)
 	}
 	// The store stays appendable after truncation.
@@ -174,7 +174,7 @@ func TestVerdictDBBadHeaderResets(t *testing.T) {
 	if d.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", d.Len())
 	}
-	if _, _, corrupt := d.Counters(); corrupt != 1 {
+	if corrupt := d.Corrupt(); corrupt != 1 {
 		t.Fatalf("corrupt counter = %d, want 1", corrupt)
 	}
 	d.Put(pkey(1), Result{Verdict: Safe})
@@ -255,5 +255,42 @@ func TestCheckerPersistsAndReplays(t *testing.T) {
 		if cs != ws {
 			t.Fatalf("check %d: counterexamples differ:\ncold:\n%s\nwarm:\n%s", i, cs, ws)
 		}
+	}
+}
+
+// TestVerdictDBIsTheOnlyStore pins the one-store rule: with both a Cache
+// and a VerdictDB attached, proofs look up and record verdicts in the
+// VerdictDB alone, and the cache is never touched.
+func TestVerdictDBIsTheOnlyStore(t *testing.T) {
+	s := loadSchema(t, chitterSchema)
+	d, err := OpenVerdictDB(filepath.Join(t.TempDir(), "verdicts.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	cache := NewCache(0)
+	stats := &Stats{}
+	c := New(s, nil)
+	c.Cache = cache
+	c.Persist = d
+	c.Stats = stats
+	for range 2 {
+		if _, err := c.CheckStrictness("User",
+			policyOn(t, s, "User", `u -> [u]`), policyOn(t, s, "User", `public`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := stats.Snapshot()
+	if snap.CacheHits != 0 || snap.CacheMisses != 0 {
+		t.Errorf("cache lookups = %d hit / %d miss, want none", snap.CacheHits, snap.CacheMisses)
+	}
+	if snap.PersistMisses == 0 || snap.PersistHits == 0 {
+		t.Errorf("persist lookups = %d hit / %d miss, want both non-zero", snap.PersistHits, snap.PersistMisses)
+	}
+	if cache.Len() != 0 {
+		t.Errorf("cache holds %d verdicts, want 0", cache.Len())
+	}
+	if d.Len() == 0 {
+		t.Error("verdict store recorded nothing")
 	}
 }

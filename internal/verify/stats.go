@@ -7,11 +7,14 @@ import (
 
 // Stats aggregates verification counters across every query routed through
 // a Checker (or a whole migration history, when shared via
-// migrate.Options). One mutex guards the whole block so a Snapshot is
-// always internally consistent — recordSolve bumps several related
-// counters, and per-field atomics would let a concurrent Snapshot observe
-// a query counted with only part of its solver effort (a torn read the
-// /metrics scraper would hit constantly). A nil *Stats is a valid no-op
+// migrate.Options). It is the one counter set of the verifier: the stores
+// count only evictions and corrupt records, and a Workspace exports its
+// Prometheus verifier and solver counters from a Stats snapshot. One
+// mutex guards the whole block so a Snapshot is always internally
+// consistent — recordSolve bumps several related counters, and per-field
+// atomics would let a concurrent Snapshot observe a query counted with
+// only part of its solver effort (a torn read the /metrics scraper would
+// hit constantly). A nil *Stats is a valid no-op
 // sink; a non-nil Stats may be shared by concurrent checkers.
 type Stats struct {
 	mu   sync.Mutex
@@ -20,12 +23,12 @@ type Stats struct {
 
 // Snapshot is a point-in-time copy of Stats, safe to compare and print.
 type Snapshot struct {
-	// CacheHits / CacheMisses count verdict-cache lookups. Misses are
-	// counted only when a cache is attached.
-	CacheHits, CacheMisses int64
-	// PersistHits / PersistMisses count persistent verdict-store lookups
-	// (only when a VerdictDB is attached). A memory-cache hit never reaches
-	// the persistent store, so these count the colder tier only.
+	// A proof looks its verdict up in one store: the VerdictDB when one is
+	// attached, else the Cache. CacheHits / CacheMisses count Cache
+	// lookups; PersistHits / PersistMisses count VerdictDB lookups. Only
+	// the store the checker uses counts, so with a VerdictDB attached the
+	// cache counters stay zero.
+	CacheHits, CacheMisses     int64
 	PersistHits, PersistMisses int64
 	// QueriesSolved counts leakage queries actually handed to the SMT
 	// solver (cache hits skip the solver entirely).
@@ -68,9 +71,9 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 
 func (s Snapshot) String() string {
 	return fmt.Sprintf(
-		"cache %d hit / %d miss · %d queries solved · %d rounds · %d theory checks · sat %d conflicts / %d decisions / %d propagations",
-		s.CacheHits, s.CacheMisses, s.QueriesSolved, s.SolverRounds,
-		s.TheoryChecks, s.Conflicts, s.Decisions, s.Propagations)
+		"cache %d hit / %d miss · persist %d hit / %d miss · %d queries solved · %d rounds · %d theory checks · sat %d conflicts / %d decisions / %d propagations / %d restarts",
+		s.CacheHits, s.CacheMisses, s.PersistHits, s.PersistMisses, s.QueriesSolved,
+		s.SolverRounds, s.TheoryChecks, s.Conflicts, s.Decisions, s.Propagations, s.Restarts)
 }
 
 // recordSolve accumulates one solver run as a unit. Nil-safe.
@@ -89,38 +92,22 @@ func (s *Stats) recordSolve(rounds, theoryChecks int, conflicts, decisions, prop
 	s.snap.Restarts += restarts
 }
 
-func (s *Stats) recordHit() {
+// recordLookup counts one verdict-store lookup under its tier: the
+// persistent store when persist is set, else the memory cache. Nil-safe.
+func (s *Stats) recordLookup(persist, hit bool) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.snap.CacheHits++
-	s.mu.Unlock()
-}
-
-func (s *Stats) recordMiss() {
-	if s == nil {
-		return
+	defer s.mu.Unlock()
+	switch {
+	case persist && hit:
+		s.snap.PersistHits++
+	case persist:
+		s.snap.PersistMisses++
+	case hit:
+		s.snap.CacheHits++
+	default:
+		s.snap.CacheMisses++
 	}
-	s.mu.Lock()
-	s.snap.CacheMisses++
-	s.mu.Unlock()
-}
-
-func (s *Stats) recordPersistHit() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.snap.PersistHits++
-	s.mu.Unlock()
-}
-
-func (s *Stats) recordPersistMiss() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.snap.PersistMisses++
-	s.mu.Unlock()
 }

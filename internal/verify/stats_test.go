@@ -47,8 +47,10 @@ func TestStatsSnapshotConsistency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				s.recordSolve(1, 1, 1, 1, 1, 1)
-				s.recordHit()
-				s.recordMiss()
+				s.recordLookup(false, true)
+				s.recordLookup(false, false)
+				s.recordLookup(true, true)
+				s.recordLookup(true, false)
 			}
 		}()
 	}
@@ -63,6 +65,9 @@ func TestStatsSnapshotConsistency(t *testing.T) {
 	}
 	if snap.CacheHits != total || snap.CacheMisses != total {
 		t.Fatalf("hits/misses = %d/%d, want %d each", snap.CacheHits, snap.CacheMisses, total)
+	}
+	if snap.PersistHits != total || snap.PersistMisses != total {
+		t.Fatalf("persist hits/misses = %d/%d, want %d each", snap.PersistHits, snap.PersistMisses, total)
 	}
 }
 

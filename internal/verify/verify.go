@@ -6,7 +6,6 @@ package verify
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"scooter/internal/ast"
@@ -80,29 +79,21 @@ type Checker struct {
 	// check. A nil checker never expires. Expiry yields Inconclusive, not
 	// an error: a timed-out proof is an Unknown verdict, not a failure.
 	Limits *limits.Checker
-	// DisableCoreMinimization passes through to the SMT solver; exposed
-	// for the ablation benchmarks.
-	DisableCoreMinimization bool
-	// Cache, when set, memoizes verdicts keyed by the query's canonical
-	// fingerprint (alpha-equivalent queries share an entry). Violation
-	// entries retain the rendered counterexample.
+	// Cache, when set and Persist is not, memoizes verdicts keyed by the
+	// query's canonical fingerprint (alpha-equivalent queries share an
+	// entry). Violation entries retain the rendered counterexample.
 	Cache *Cache
-	// Persist, when set, is the disk-backed verdict store consulted after a
-	// memory-cache miss and appended to after every definitive verdict (and
-	// after memory-cache hits, so a store attached mid-history still ends up
-	// complete). Shares CacheKey with Cache.
+	// Persist, when set, is the proof's one verdict store in place of
+	// Cache: consulted before solving and appended to after every
+	// definitive verdict. Cache is then neither read nor written.
 	Persist *VerdictDB
-	// Stats, when set, accumulates query/solver counters.
+	// Stats, when set, accumulates store-lookup and solver counters.
 	Stats *Stats
 	// Metrics, when set, observes each proof (count, wall time, Unknown
 	// reasons) in the workspace registry. Nil is a no-op sink.
 	Metrics *obs.VerifyMetrics
-	// SolverMetrics, when set, is handed to every solver this checker
-	// spawns so per-solve effort lands in the registry.
-	SolverMetrics *obs.SolverMetrics
-	// Trace, when set, receives one ProofEvent per strictness proof.
-	// Tracing forces the per-kind proofs of each query to run
-	// sequentially so event order is deterministic.
+	// Trace, when set, receives one ProofEvent per strictness proof; the
+	// kinds of one check emit in principal-kind order.
 	Trace *obs.Tracer
 }
 
@@ -139,122 +130,72 @@ func (c *Checker) CheckEquivalence(model string, p1, p2 ast.Policy) (bool, error
 }
 
 // checkFlowStrictness runs the leakage check between policies on possibly
-// different models. One query is built per principal kind; the queries are
-// independent (each owns its term builder and solver), so they run
-// concurrently. Results are reported in kind order for determinism.
+// different models. One query is built per principal kind; the kinds are
+// proved in order on the calling goroutine, and the first error or
+// non-Safe verdict decides the check without proving the kinds after it.
+// Concurrency lives one level up, across a migration's deferred checks.
 func (c *Checker) checkFlowStrictness(dstModel string, dstRead ast.Policy, srcModel string, srcRead ast.Policy) (*Result, error) {
-	kinds := lower.PrincipalKinds(c.Schema)
-	type kindResult struct {
-		res *Result
-		err error
-	}
-	results := make([]kindResult, len(kinds))
-	if c.Trace != nil {
-		// Deterministic trace order: one proof at a time, in kind order.
-		for i, kind := range kinds {
-			results[i] = c.checkKind(dstModel, dstRead, srcModel, srcRead, kind)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i, kind := range kinds {
-			wg.Add(1)
-			go func(i int, kind lower.PrincipalKind) {
-				defer wg.Done()
-				results[i] = c.checkKind(dstModel, dstRead, srcModel, srcRead, kind)
-			}(i, kind)
-		}
-		wg.Wait()
-	}
-
 	incomplete := false
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
+	for _, kind := range lower.PrincipalKinds(c.Schema) {
+		res, err := c.checkKind(dstModel, dstRead, srcModel, srcRead, kind)
+		if err != nil {
+			return nil, err
 		}
-		if r.res.Verdict != Safe {
-			return r.res, nil
+		if res.Verdict != Safe {
+			return res, nil
 		}
-		incomplete = incomplete || r.res.Incomplete
+		incomplete = incomplete || res.Incomplete
 	}
 	return &Result{Verdict: Safe, Incomplete: incomplete}, nil
 }
 
 // checkKind builds and solves the leakage query for one principal kind.
-func (c *Checker) checkKind(dstModel string, dstRead ast.Policy, srcModel string, srcRead ast.Policy, kind lower.PrincipalKind) (out struct {
-	res *Result
-	err error
-}) {
+func (c *Checker) checkKind(dstModel string, dstRead ast.Policy, srcModel string, srcRead ast.Policy, kind lower.PrincipalKind) (*Result, error) {
 	start := time.Now()
 	ctx := lower.NewContext(c.Schema, c.Defs)
 	q, err := lower.BuildCrossLeakageQuery(ctx, dstModel, dstRead, srcModel, srcRead, kind)
 	if err != nil {
-		out.err = fmt.Errorf("lowering flow %s -> %s for principal kind %s: %w", srcModel, dstModel, kind, err)
-		return
+		return nil, fmt.Errorf("lowering flow %s -> %s for principal kind %s: %w", srcModel, dstModel, kind, err)
 	}
 	var key CacheKey
 	if c.Cache != nil || c.Persist != nil || c.Trace != nil {
-		key = QueryKey(q, c.SolverRounds, c.DisableCoreMinimization)
+		key = QueryKey(q, c.SolverRounds)
 	}
-	if c.Cache != nil {
-		if res, ok := c.Cache.Lookup(key); ok {
-			c.Stats.recordHit()
-			// Re-put so a store attached after the memory cache warmed up
-			// still captures the verdict (Put dedups).
-			c.Persist.Put(key, res)
-			out.res = &res
-			c.observeProof(key, kind, &res, true, nil, start)
-			return
-		}
-		c.Stats.recordMiss()
-	}
-	if c.Persist != nil {
-		if res, ok := c.Persist.Lookup(key); ok {
-			c.Stats.recordPersistHit()
-			if c.Cache != nil {
-				c.Cache.Insert(key, res)
-			}
-			out.res = &res
-			c.observeProof(key, kind, &res, true, nil, start)
-			return
-		}
-		c.Stats.recordPersistMiss()
+	if res, ok := LookupVerdict(c.Cache, c.Persist, c.Stats, key); ok {
+		c.observeProof(key, kind, &res, true, nil, start)
+		return &res, nil
 	}
 	if ex := c.Limits.Expired(); ex != nil {
 		// The budget was gone before solving started; report it without
 		// spinning up a solver.
-		out.res = &Result{Verdict: Inconclusive, Kind: kind, Incomplete: true, Why: ex}
-		c.observeProof(key, kind, out.res, false, nil, start)
-		return
+		res := &Result{Verdict: Inconclusive, Kind: kind, Incomplete: true, Why: ex}
+		c.observeProof(key, kind, res, false, nil, start)
+		return res, nil
 	}
 	s := solver.New(q.B)
 	s.MaxRounds = c.SolverRounds
 	s.MaxConflicts = c.SolverConflicts
 	s.Limits = c.Limits
-	s.DisableCoreMinimization = c.DisableCoreMinimization
-	s.Metrics = c.SolverMetrics
 	s.Assert(q.Formula)
 	status, serr := s.Check()
 	conflicts, decisions, props := s.SATStats()
 	c.Stats.recordSolve(s.Rounds, s.TheoryChecks, conflicts, decisions, props, s.SATRestarts())
 	if serr != nil {
-		out.err = fmt.Errorf("solving flow %s -> %s for principal kind %s: %w", srcModel, dstModel, kind, serr)
-		return
+		return nil, fmt.Errorf("solving flow %s -> %s for principal kind %s: %w", srcModel, dstModel, kind, serr)
 	}
+	var res *Result
 	switch status {
 	case solver.Unsat:
-		out.res = &Result{Verdict: Safe, Incomplete: q.Incomplete}
+		res = &Result{Verdict: Safe, Incomplete: q.Incomplete}
 	case solver.Unknown:
-		out.res = &Result{Verdict: Inconclusive, Kind: kind, Incomplete: true, Why: s.Exhaustion()}
+		res = &Result{Verdict: Inconclusive, Kind: kind, Incomplete: true, Why: s.Exhaustion()}
 	case solver.Sat:
 		ce := renderCounterexample(c.Schema, q, s.Model())
-		out.res = &Result{Verdict: Violation, Kind: kind, Counterexample: ce, Incomplete: q.Incomplete}
+		res = &Result{Verdict: Violation, Kind: kind, Counterexample: ce, Incomplete: q.Incomplete}
 	}
-	if c.Cache != nil {
-		c.Cache.Insert(key, *out.res)
-	}
-	c.Persist.Put(key, *out.res)
-	c.observeProof(key, kind, out.res, false, s, start)
-	return
+	StoreVerdict(c.Cache, c.Persist, key, *res)
+	c.observeProof(key, kind, res, false, s, start)
+	return res, nil
 }
 
 // observeProof lands one finished proof in the metrics registry and the

@@ -12,7 +12,7 @@ import (
 )
 
 // loadSchema parses and checks a policy file into a schema.
-func loadSchema(t *testing.T, src string) *schema.Schema {
+func loadSchema(t testing.TB, src string) *schema.Schema {
 	t.Helper()
 	f, err := parser.ParsePolicyFile(src)
 	if err != nil {
@@ -26,7 +26,7 @@ func loadSchema(t *testing.T, src string) *schema.Schema {
 }
 
 // policyOn parses and typechecks a policy for a model.
-func policyOn(t *testing.T, s *schema.Schema, model, src string) ast.Policy {
+func policyOn(t testing.TB, s *schema.Schema, model, src string) ast.Policy {
 	t.Helper()
 	p, err := parser.ParsePolicy(src)
 	if err != nil {

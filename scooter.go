@@ -139,35 +139,52 @@ type Workspace struct {
 	// and MetricsHandler exposes it in the Prometheus text format.
 	reg *obs.Registry
 	// cache memoizes strictness verdicts across this workspace's migrations
-	// (hit/miss/eviction counters are read from it at scrape time).
+	// (its eviction count is read at scrape time).
 	cache *verify.Cache
-	// verdictDB, when attached, persists verdicts across processes;
-	// Migrate calls default to it like they default to the cache.
-	verdictDB       *verify.VerdictDB
+	// stats counts verdict-store lookups and solver effort for Migrate
+	// calls that bring no Stats of their own; the registry's verifier and
+	// solver counters are read from it at scrape time.
+	stats           *verify.Stats
 	verifyMetrics   *obs.VerifyMetrics
-	solverMetrics   *obs.SolverMetrics
 	ormMetrics      *obs.ORMMetrics
 	backfillMetrics *obs.BackfillMetrics
 }
 
+// statsCounters are the registry counters a workspace reads from its
+// verify.Stats at scrape time.
+var statsCounters = []struct {
+	name, help string
+	get        func(verify.Snapshot) int64
+}{
+	{"scooter_solver_solves_total", "SMT solver invocations.", func(s verify.Snapshot) int64 { return s.QueriesSolved }},
+	{"scooter_solver_rounds_total", "CDCL(T) abstraction-refinement rounds.", func(s verify.Snapshot) int64 { return s.SolverRounds }},
+	{"scooter_solver_theory_checks_total", "Theory (simplex) consistency checks.", func(s verify.Snapshot) int64 { return s.TheoryChecks }},
+	{"scooter_solver_conflicts_total", "SAT conflicts analysed.", func(s verify.Snapshot) int64 { return s.Conflicts }},
+	{"scooter_solver_decisions_total", "SAT decisions taken.", func(s verify.Snapshot) int64 { return s.Decisions }},
+	{"scooter_solver_propagations_total", "SAT unit propagations.", func(s verify.Snapshot) int64 { return s.Propagations }},
+	{"scooter_solver_restarts_total", "SAT Luby restarts.", func(s verify.Snapshot) int64 { return s.Restarts }},
+	{"scooter_verify_cache_hits_total", "Strictness verdicts answered from the verdict cache.", func(s verify.Snapshot) int64 { return s.CacheHits }},
+	{"scooter_verify_cache_misses_total", "Strictness queries that missed the verdict cache.", func(s verify.Snapshot) int64 { return s.CacheMisses }},
+	{"scooter_verify_persist_hits_total", "Strictness verdicts answered from the persistent verdict store.", func(s verify.Snapshot) int64 { return s.PersistHits }},
+	{"scooter_verify_persist_misses_total", "Strictness queries that missed the persistent verdict store.", func(s verify.Snapshot) int64 { return s.PersistMisses }},
+}
+
 // newWorkspace wires a workspace around a schema and database: one metrics
-// registry, a shared verdict cache exposed through scrape-time counters,
-// and per-layer metric sets for the migration pipeline and the ORM policy
-// boundary.
+// registry, a shared verdict cache and verify.Stats exposed through
+// scrape-time counters, and per-layer metric sets for the migration
+// pipeline and the ORM policy boundary.
 func newWorkspace(s *schema.Schema, db *store.DB, reg *obs.Registry) *Workspace {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	cache := verify.NewCache(0)
-	reg.CounterFunc("scooter_verify_cache_hits_total",
-		"Strictness verdicts answered from the verdict cache.",
-		func() float64 { h, _, _ := cache.Counters(); return float64(h) })
-	reg.CounterFunc("scooter_verify_cache_misses_total",
-		"Strictness queries that missed the verdict cache.",
-		func() float64 { _, m, _ := cache.Counters(); return float64(m) })
+	stats := &verify.Stats{}
+	for _, c := range statsCounters {
+		reg.CounterFunc(c.name, c.help, func() float64 { return float64(c.get(stats.Snapshot())) })
+	}
 	reg.CounterFunc("scooter_verify_cache_evictions_total",
 		"Verdicts evicted from the bounded verdict cache.",
-		func() float64 { _, _, e := cache.Counters(); return float64(e) })
+		func() float64 { return float64(cache.Evictions()) })
 	conn := orm.Open(s, db)
 	ormM := obs.NewORMMetrics(reg)
 	conn.SetMetrics(ormM)
@@ -177,8 +194,8 @@ func newWorkspace(s *schema.Schema, db *store.DB, reg *obs.Registry) *Workspace 
 		conn:            conn,
 		reg:             reg,
 		cache:           cache,
+		stats:           stats,
 		verifyMetrics:   obs.NewVerifyMetrics(reg),
-		solverMetrics:   obs.NewSolverMetrics(reg),
 		ormMetrics:      ormM,
 		backfillMetrics: obs.NewBackfillMetrics(reg),
 	}
@@ -193,47 +210,20 @@ func (w *Workspace) Metrics() *obs.Registry { return w.reg }
 func (w *Workspace) MetricsHandler() http.Handler { return obs.Handler(w.reg) }
 
 // fillObsDefaults points unset observability options at the workspace's
-// own cache and metric sets, so Migrate calls are observed without callers
-// having to wire anything.
+// own cache, stats and metric sets, so Migrate calls are observed without
+// callers having to wire anything. A caller's own Stats replaces the
+// workspace's, so its counters then stay out of the registry.
 func (w *Workspace) fillObsDefaults(opts *Options) {
 	if opts.Cache == nil {
 		opts.Cache = w.cache
 	}
-	if opts.VerdictDB == nil {
-		opts.VerdictDB = w.verdictDB
+	if opts.Stats == nil {
+		opts.Stats = w.stats
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = w.verifyMetrics
 	}
-	if opts.SolverMetrics == nil {
-		opts.SolverMetrics = w.solverMetrics
-	}
 }
-
-// AttachVerdictDB opens (creating if absent) the persistent verdict store
-// at path and makes it the default for this workspace's migrations, with
-// its hit/miss/corruption counters exposed in the metrics registry. Call
-// CloseVerdictDB (or Close the workspace) when done.
-func (w *Workspace) AttachVerdictDB(path string) error {
-	vdb, err := verify.OpenVerdictDB(path)
-	if err != nil {
-		return err
-	}
-	w.verdictDB = vdb
-	w.reg.CounterFunc("scooter_verify_persist_hits_total",
-		"Strictness verdicts answered from the persistent verdict store.",
-		func() float64 { h, _, _ := vdb.Counters(); return float64(h) })
-	w.reg.CounterFunc("scooter_verify_persist_misses_total",
-		"Strictness queries that missed the persistent verdict store.",
-		func() float64 { _, m, _ := vdb.Counters(); return float64(m) })
-	w.reg.CounterFunc("scooter_verify_persist_corrupt_total",
-		"Corrupt records skipped (or torn tails truncated) loading the persistent verdict store.",
-		func() float64 { _, _, c := vdb.Counters(); return float64(c) })
-	return nil
-}
-
-// VerdictDB returns the attached persistent verdict store, or nil.
-func (w *Workspace) VerdictDB() *verify.VerdictDB { return w.verdictDB }
 
 // NewWorkspace returns a workspace with an empty specification and a fresh
 // in-memory database.
@@ -285,11 +275,6 @@ func (w *Workspace) Close() error {
 	}
 	if w.wal != nil {
 		if err := w.wal.Close(); first == nil {
-			first = err
-		}
-	}
-	if w.verdictDB != nil {
-		if err := w.verdictDB.Close(); first == nil {
 			first = err
 		}
 	}

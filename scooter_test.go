@@ -3,10 +3,13 @@ package scooter_test
 import (
 	"bytes"
 	"errors"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"scooter"
+	"scooter/internal/verify"
 )
 
 // bootstrapChitter builds the Chitter workspace used across facade tests.
@@ -289,5 +292,62 @@ User::AddField(bio: String { read: public, write: u -> [u] }, u -> "I'm " + u.na
 	}
 	if _, ok := other.Get("email"); ok {
 		t.Fatal("email must stay hidden after restore")
+	}
+}
+
+// metricValue scrapes w's registry for the unlabelled sample name.
+func metricValue(t *testing.T, w *scooter.Workspace, name string) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := w.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, name+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("series %s missing", name)
+	return 0
+}
+
+// TestWorkspaceMetricsReadStats checks that the registry's verifier and
+// solver counters come from the workspace's one verify.Stats: a migration
+// verified against a verdict store shows up as store misses and solves,
+// and as no cache traffic, because the store replaces the cache.
+func TestWorkspaceMetricsReadStats(t *testing.T) {
+	w := bootstrapChitter(t)
+	vdb, err := verify.OpenVerdictDB(filepath.Join(t.TempDir(), "verdicts.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vdb.Close()
+	names := []string{
+		"scooter_verify_cache_hits_total",
+		"scooter_verify_cache_misses_total",
+		"scooter_verify_persist_misses_total",
+		"scooter_solver_solves_total",
+	}
+	before := map[string]float64{}
+	for _, n := range names {
+		before[n] = metricValue(t, w, n)
+	}
+	opts := scooter.Options{TrackEquivalences: true, VerdictDB: vdb}
+	if _, err := w.MigrateNamedOpts("tighten", `User::UpdateFieldReadPolicy(email, u -> [u]);`, opts); err != nil {
+		t.Fatal(err)
+	}
+	delta := map[string]float64{}
+	for _, n := range names {
+		delta[n] = metricValue(t, w, n) - before[n]
+	}
+	if delta["scooter_verify_cache_hits_total"] != 0 || delta["scooter_verify_cache_misses_total"] != 0 {
+		t.Errorf("cache traffic with a verdict store attached: %v", delta)
+	}
+	if delta["scooter_verify_persist_misses_total"] == 0 || delta["scooter_solver_solves_total"] == 0 {
+		t.Errorf("want store misses and solves: %v", delta)
 	}
 }
