@@ -251,9 +251,12 @@ func TestTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestStatsWarmVerdictDB runs the visitday history twice against one
-// -verdict-db with -stats. The warm rerun answers every query from the
-// store, so its -stats line reports no solves and the store's hits.
+// TestStatsWarmVerdictDB runs the visitday history three times against
+// one -verdict-db with -stats: cold, warm, and after a torn tail (a crash
+// mid-append). The report is byte-identical each time. The warm rerun
+// answers every query from the store, so its -stats line reports no
+// solves; the torn run drops exactly the one damaged record, re-solves it
+// and answers the rest from disk.
 func TestStatsWarmVerdictDB(t *testing.T) {
 	scripts, err := filepath.Glob(filepath.Join("..", "..", "internal", "casestudies", "corpus", "visitday", "*.scm"))
 	if err != nil || len(scripts) == 0 {
@@ -261,30 +264,52 @@ func TestStatsWarmVerdictDB(t *testing.T) {
 	}
 	sort.Strings(scripts)
 	db := filepath.Join(t.TempDir(), "verdicts.db")
-	runOnce := func() string {
+	runOnce := func() (stdout, stderr string) {
 		t.Helper()
-		var stdout, stderr bytes.Buffer
+		var out, errOut bytes.Buffer
 		args := append([]string{"-verdict-db", db, "-stats"}, scripts...)
-		if code := run(args, &stdout, &stderr); code != 0 {
-			t.Fatalf("exit code %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+		if code := run(args, &out, &errOut); code != 0 {
+			t.Fatalf("exit code %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
 		}
-		return stderr.String()
+		return out.String(), errOut.String()
 	}
-	persistHits := regexp.MustCompile(`persist (\d+) hit / (\d+) miss`)
+	persist := regexp.MustCompile(`persist (\d+) hit / (\d+) miss`)
 
-	cold := runOnce()
+	coldOut, cold := runOnce()
 	if strings.Contains(cold, "· 0 queries solved") {
 		t.Fatalf("cold run solved nothing:\n%s", cold)
 	}
-	warm := runOnce()
+	warmOut, warm := runOnce()
+	if warmOut != coldOut {
+		t.Errorf("warm rerun changed the report:\ncold:\n%s\nwarm:\n%s", coldOut, warmOut)
+	}
 	if !strings.Contains(warm, "· 0 queries solved") {
 		t.Errorf("warm run solved queries:\n%s", warm)
 	}
-	m := persistHits.FindStringSubmatch(warm)
+	m := persist.FindStringSubmatch(warm)
 	if m == nil || m[1] == "0" || m[2] != "0" {
 		t.Errorf("warm run: want persist hits and no misses:\n%s", warm)
 	}
 	if !regexp.MustCompile(`verdict-db 0 corrupt · [1-9]\d* stored`).MatchString(warm) {
 		t.Errorf("warm run: missing verdict-db line:\n%s", warm)
+	}
+
+	st, err := os.Stat(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(db, st.Size()-7); err != nil {
+		t.Fatal(err)
+	}
+	tornOut, torn := runOnce()
+	if tornOut != coldOut {
+		t.Errorf("torn-tail recovery changed the report:\ncold:\n%s\ntorn:\n%s", coldOut, tornOut)
+	}
+	m = persist.FindStringSubmatch(torn)
+	if m == nil || m[1] == "0" || m[2] != "1" {
+		t.Errorf("torn run: want persist hits and exactly 1 miss:\n%s", torn)
+	}
+	if !strings.Contains(torn, "verdict-db 1 corrupt") {
+		t.Errorf("torn run: want exactly one corrupt record:\n%s", torn)
 	}
 }

@@ -12,34 +12,38 @@ import (
 	"scooter/internal/store"
 )
 
-// faultOp is one deterministic single-record mutation, as in cmd/walfault:
-// one op = one WAL record, so recovery from any damage must land exactly on
-// an op-count prefix.
+// faultOp is one deterministic single-record mutation: one op = one WAL
+// record, so recovery from any damage must land exactly on an op-count
+// prefix.
 type faultOp func(db *store.DB)
 
+// faultWorkload builds n single-record ops: collection and index setup,
+// then a mix of inserts, updates and deletes over the full value universe.
 func faultWorkload(n int) []faultOp {
 	ops := []faultOp{
 		func(db *store.DB) { db.Collection("users") },
+		func(db *store.DB) { db.Collection("posts") },
 		func(db *store.DB) { db.Collection("users").EnsureIndex("name") },
 	}
 	var ids []store.ID
 	for i := 0; len(ops) < n; i++ {
-		i := i
 		switch {
-		case i%5 == 3 && len(ids) > 1:
+		case i%7 == 3 && len(ids) > 2:
 			id := ids[i%len(ids)]
 			ops = append(ops, func(db *store.DB) {
 				db.Collection("users").Update(id, store.Doc{"age": int64(i), "opt": store.Some(int64(i))})
 			})
-		case i%7 == 5 && len(ids) > 3:
+		case i%11 == 5 && len(ids) > 4:
 			id := ids[0]
 			ids = ids[1:]
 			ops = append(ops, func(db *store.DB) { db.Collection("users").Delete(id) })
 		default:
+			// Insert ids are deterministic: the store allocates 2, 3, ...
+			// in op order, and replay restores the same allocator state.
 			ids = append(ids, store.ID(int64(len(ids)+2)))
 			ops = append(ops, func(db *store.DB) {
 				db.Collection("users").Insert(store.Doc{
-					"name": fmt.Sprintf("u%d", i),
+					"name": fmt.Sprintf("u%d", i), "age": int64(20 + i%50),
 					"tags": []store.Value{"a", int64(i)}, "extra": store.None(),
 				})
 			})
@@ -48,21 +52,20 @@ func faultWorkload(n int) []faultOp {
 	return ops[:n]
 }
 
-// TestFaultInjectionSweep damages a small log at every byte offset — both a
-// torn write (truncation) and a bit flip — and checks that recovery always
-// succeeds, never panics, and always yields the state after some committed
-// prefix of the workload. cmd/walfault runs the same sweep at a larger
-// scale in CI.
+// TestFaultInjectionSweep damages a log at every byte offset of every
+// segment — both a torn write (truncation) and a bit flip — and checks that
+// recovery always succeeds, never panics, and always yields the state
+// after some committed prefix of the workload.
 func TestFaultInjectionSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault sweep is slow; run without -short")
 	}
-	const nOps = 18
+	const nOps = 40
 	ops := faultWorkload(nOps)
 
 	// Small segments so the sweep crosses rotation boundaries and later
 	// segment headers, not just record frames.
-	walOpts := Options{SegmentMaxBytes: 512, CompactAfterBytes: -1}
+	walOpts := Options{SegmentMaxBytes: 1024, CompactAfterBytes: -1}
 	pristine := t.TempDir()
 	l, db, err := Open(pristine, walOpts)
 	if err != nil {
@@ -100,6 +103,7 @@ func TestFaultInjectionSweep(t *testing.T) {
 		t.Fatalf("workload produced %d segments; want >= 2 so faults hit rotation boundaries", len(segs))
 	}
 
+	trial := filepath.Join(t.TempDir(), "trial")
 	trials, replayed := 0, 0
 	for _, seg := range segs {
 		data, err := os.ReadFile(filepath.Join(pristine, seg))
@@ -113,7 +117,9 @@ func TestFaultInjectionSweep(t *testing.T) {
 					damaged = append([]byte(nil), data...)
 					damaged[off] ^= 0xFF
 				}
-				trial := t.TempDir()
+				if err := os.RemoveAll(trial); err != nil {
+					t.Fatal(err)
+				}
 				if err := os.CopyFS(trial, os.DirFS(pristine)); err != nil {
 					t.Fatal(err)
 				}
@@ -134,7 +140,7 @@ func TestFaultInjectionSweep(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("fault trials: %d, replayed records: %d", trials, replayed)
+	t.Logf("%d ops across %d segments: %d fault trials, %d replayed records", nOps, len(segs), trials, replayed)
 	if replayed == 0 {
 		t.Fatal("sweep never replayed a record; workload too small to be meaningful")
 	}

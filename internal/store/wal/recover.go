@@ -25,6 +25,7 @@ func Open(dir string, opts Options) (*Log, *store.DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
+	removeTemps(dir)
 	segs, snaps, err := scanDir(dir)
 	if err != nil {
 		return nil, nil, err
@@ -263,9 +264,21 @@ func truncateSegment(path string, off int64) error {
 	return f.Close()
 }
 
-// scanDir lists segment and snapshot files by index. Leftover temp files
-// from an interrupted snapshot write are removed. A version-1 JSON
-// snapshot is an error: old data is refused, never silently skipped.
+// removeTemps deletes the temp files of snapshot writes a crash cut short.
+// Only Open calls it: on a live log, Compact may have one in flight.
+// Best-effort, like pruneBelow; scanDir reports an unreadable directory.
+func removeTemps(dir string) {
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".tmp") {
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
+}
+
+// scanDir lists segment and snapshot files by index; it never modifies the
+// directory, so it is safe on a live log. A version-1 JSON snapshot is an
+// error: old data is refused, never silently skipped.
 func scanDir(dir string) (segs, snaps map[uint64]string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -275,10 +288,6 @@ func scanDir(dir string) (segs, snaps map[uint64]string, err error) {
 	snaps = map[uint64]string{}
 	for _, e := range entries {
 		name := e.Name()
-		if strings.HasSuffix(name, ".tmp") {
-			os.Remove(filepath.Join(dir, name))
-			continue
-		}
 		var idx uint64
 		if n, _ := fmt.Sscanf(name, "wal-%d.log", &idx); n == 1 && name == segName(idx) {
 			segs[idx] = name

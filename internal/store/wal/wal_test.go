@@ -340,6 +340,46 @@ func TestStaleSnapshotAndTmpCleanup(t *testing.T) {
 	}
 }
 
+// TestLiveScanKeepsSnapshotTemp is the regression for a compaction racing
+// the replication server: every directory scan of a live log — a tail's
+// backlog poll, its prune check, a new tail or bootstrap, a compaction's
+// prune — must leave an in-flight snapshot temp file alone, or the rename
+// that publishes the snapshot fails.
+func TestLiveScanKeepsSnapshotTemp(t *testing.T) {
+	dir := t.TempDir()
+	l, db, err := Open(dir, Options{CompactAfterBytes: -1})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer mustClose(t, l)
+	db.Collection("docs").Insert(store.Doc{"i": int64(1)})
+	if err := l.Compact(); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	tmp := filepath.Join(dir, "snap-00000099.bin.tmp")
+	if err := os.WriteFile(tmp, []byte("in flight"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, tail, err := l.BootstrapTail()
+	if err != nil {
+		t.Fatalf("bootstrap tail: %v", err)
+	}
+	defer tail.Close()
+	tail.PendingBytes()
+	tail.prunedAway()
+	if _, err := l.TailFrom(l.LastLSN()); err != nil {
+		t.Fatalf("tail from: %v", err)
+	}
+	db.Collection("docs").Insert(store.Doc{"i": int64(2)})
+	if err := l.Compact(); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	if _, err := os.Stat(tmp); err != nil {
+		t.Fatalf("a live scan removed an in-flight snapshot temp file: %v", err)
+	}
+}
+
 // TestBatchRecordCapSplitsBulkDrains pins the flush-unit bound: a bulk
 // enqueue (the shape an online backfill batch produces) larger than
 // MaxBatchRecords must be split into capped chunks — the overflow counter

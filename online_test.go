@@ -2,6 +2,8 @@ package scooter_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +11,7 @@ import (
 
 	"scooter"
 	"scooter/internal/schema"
+	"scooter/internal/store/wal"
 )
 
 // The online-migration tests drive the full stack: Workspace wiring
@@ -176,12 +179,26 @@ func TestOnlineMigrationConvergesWithTraffic(t *testing.T) {
 }
 
 // TestOnlineLazyShimRace races foreground readers and writers against the
-// lazy-migration shim while the backfill sweeps: run under -race it proves
-// the connection's schema/policy/lazy state swaps are safe, and it asserts
-// reads never fail and the collection converges to fully backfilled.
+// lazy-migration shim while the backfill sweeps, on an in-memory and on a
+// durable workspace: run under -race it proves the connection's
+// schema/policy/lazy state swaps are safe, and it asserts reads never fail
+// and the collection converges to fully backfilled.
 func TestOnlineLazyShimRace(t *testing.T) {
+	t.Run("memory", func(t *testing.T) { lazyShimRace(t, scooter.NewWorkspace()) })
+	t.Run("durable", func(t *testing.T) {
+		w, err := scooter.OpenDurable(t.TempDir(), scooter.DurabilityOptions{CompactAfterBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lazyShimRace(t, w)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+func lazyShimRace(t *testing.T, w *scooter.Workspace) {
 	const nUsers = 300
-	w := scooter.NewWorkspace()
 	ids := seedOnline(t, w, nUsers)
 
 	opts := onlineTestOpts()
@@ -275,7 +292,7 @@ func TestOnlineLazyShimRace(t *testing.T) {
 		t.Fatalf("users after migration: %d", len(objs))
 	}
 	for _, obj := range objs {
-		if _, ok := obj.Get("bio"); !ok {
+		if bio, ok := obj.Get("bio"); !ok || bio == nil {
 			t.Fatalf("user %v missing bio after online migration", obj.ID)
 		}
 	}
@@ -432,4 +449,172 @@ func containsBio(spec string) bool {
 		}
 	}
 	return false
+}
+
+// killOp is one foreground operation of the online kill sweep. Repeating
+// the whole list in order after recovery must be idempotent: inserts are
+// guarded by name, deletes by existence, updates overwrite.
+type killOp struct {
+	kind string // "insert", "age", "name", "delete"
+	name string // inserted user's name (kind "insert")
+	idx  int    // seed index targeted (other kinds)
+	val  int64  // new age (kind "age")
+}
+
+// killTraffic is the kill sweep's foreground workload, two ops per batch
+// boundary. Inserts spell out bio explicitly — a writer that already
+// speaks the new shape — so replaying one after the window closed produces
+// the same document the live run did.
+var killTraffic = [][]killOp{
+	{{kind: "age", idx: 1, val: 91}, {kind: "insert", name: "fg0"}},
+	{{kind: "name", idx: 9}, {kind: "age", idx: 2, val: 92}},
+	{{kind: "insert", name: "fg1"}, {kind: "delete", idx: 12}},
+	{{kind: "age", idx: 3, val: 93}, {kind: "insert", name: "fg2"}},
+	{{kind: "name", idx: 5}, {kind: "age", idx: 1, val: 94}},
+}
+
+func applyKillOp(pr *scooter.Princ, o killOp, ids []scooter.ID) error {
+	switch o.kind {
+	case "insert":
+		// Guard: the insert may already be durable from before the crash.
+		got, err := pr.Find("User", scooter.Eq("name", o.name))
+		if err != nil || len(got) > 0 {
+			return err
+		}
+		_, err = pr.Insert("User", scooter.Doc{"name": o.name, "age": int64(50), "bio": "I'm " + o.name})
+		return err
+	case "age":
+		return pr.Update("User", ids[o.idx], scooter.Doc{"age": o.val})
+	case "name":
+		return pr.Update("User", ids[o.idx], scooter.Doc{"name": fmt.Sprintf("renamed%d", o.idx)})
+	case "delete":
+		obj, err := pr.FindByID("User", ids[o.idx])
+		if err != nil || obj == nil {
+			return err
+		}
+		return pr.Delete("User", ids[o.idx])
+	}
+	return fmt.Errorf("unknown op %q", o.kind)
+}
+
+// TestOnlineKillSweep kills a durable online migration at every byte of
+// its window, with foreground traffic at each batch boundary. Each trial
+// truncates the log at one offset, recovers, lets the migration resume,
+// repeats the traffic, and requires the database — `$migrations` and
+// `$spec` included — to hash byte-identically to the uninterrupted run.
+func TestOnlineKillSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("kill sweep is slow; run without -short")
+	}
+	const nUsers = 16
+	durable := scooter.DurabilityOptions{CompactAfterBytes: -1}
+	onlineOpts := onlineTestOpts()
+	onlineOpts.Online = true
+	onlineOpts.BatchSize = 4
+
+	// Uninterrupted run: bootstrap and seed, note where the migration
+	// window starts in the segment, then migrate with traffic at every
+	// batch boundary. Groups the batch count does not reach run after the
+	// window, here and in every replay.
+	pristine := t.TempDir()
+	w, err := scooter.OpenDurable(pristine, durable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := seedOnline(t, w, nUsers)
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(pristine, wal.SegmentName(1))
+	boot, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anon := w.AsPrinc(scooter.Static("Unauthenticated"))
+	next := 0
+	runGroup := func() error {
+		for _, o := range killTraffic[next] {
+			if err := applyKillOp(anon, o, ids); err != nil {
+				return fmt.Errorf("group %d: %w", next, err)
+			}
+		}
+		next++
+		return nil
+	}
+	opts := onlineOpts
+	opts.OnBatch = func(string, string, scooter.ID, int) error {
+		if next < len(killTraffic) {
+			return runGroup()
+		}
+		return nil
+	}
+	if _, err := w.MigrateNamedOpts("001_bio", onlineBioScript, opts); err != nil {
+		t.Fatal(err)
+	}
+	for next < len(killTraffic) {
+		if err := runGroup(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := w.StateHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	trial := filepath.Join(t.TempDir(), "trial")
+	kills := 0
+	for off := int(boot.Size()); off <= len(full); off++ {
+		if err := os.RemoveAll(trial); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.CopyFS(trial, os.DirFS(pristine)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(trial, wal.SegmentName(1)), full[:off], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, err := scooter.OpenDurable(trial, durable)
+		if err != nil {
+			t.Fatalf("kill@%d: recovery failed: %v", off, err)
+		}
+		if _, err := w.MigrateNamedOpts("000_base", onlineBaseScript, onlineTestOpts()); err != nil {
+			t.Fatalf("kill@%d: bootstrap replay: %v", off, err)
+		}
+		if _, err := w.MigrateNamedOpts("001_bio", onlineBioScript, onlineOpts); err != nil {
+			t.Fatalf("kill@%d: resume: %v", off, err)
+		}
+		anon := w.AsPrinc(scooter.Static("Unauthenticated"))
+		for g, group := range killTraffic {
+			for _, o := range group {
+				if err := applyKillOp(anon, o, ids); err != nil {
+					t.Fatalf("kill@%d: repeat group %d: %v", off, g, err)
+				}
+			}
+		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := w.StateHash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("kill@%d: state after crash and resume diverges from the uninterrupted run (%s != %s)", off, got, want)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		kills++
+	}
+	t.Logf("%d kill points converged byte-identically", kills)
 }
