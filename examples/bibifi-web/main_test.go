@@ -11,10 +11,12 @@ import (
 	"time"
 )
 
-// TestServesAndRecovers boots the server on an ephemeral port (-addr :0),
-// hits it over HTTP, kills it without warning, and boots it again on the
-// same -data-dir: the second run must recover the logged writes instead of
-// reseeding. Skipped under -short: it builds and runs the real binary.
+// TestServesAndRecovers boots the server durably (-fsync always) on an
+// ephemeral port (-addr :0) with a metrics listener, hits it over HTTP,
+// checks the scrape shows real work in every layer, kills it without
+// warning, and boots it again on the same -data-dir: the second run must
+// recover the logged writes instead of reseeding. Skipped under -short: it
+// builds and runs the real binary.
 func TestServesAndRecovers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the server binary")
@@ -26,9 +28,11 @@ func TestServesAndRecovers(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "data")
 
 	// start launches the server and reads its banner up to the listen
-	// address; the lines before it include the recovery report.
+	// address; the lines before it include the recovery report and the
+	// metrics address.
 	start := func() (*exec.Cmd, string, string) {
-		cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-data-dir", dataDir)
+		cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-data-dir", dataDir,
+			"-fsync", "always", "-metrics-addr", "127.0.0.1:0")
 		stdout, err := cmd.StdoutPipe()
 		if err != nil {
 			t.Fatal(err)
@@ -86,6 +90,7 @@ func TestServesAndRecovers(t *testing.T) {
 		t.Fatalf("fresh data dir claims recovery:\n%s", banner)
 	}
 	first := get(addr, "/announcements")
+	checkMetrics(t, banner, get)
 	// Crash: no shutdown hook runs, so the WAL alone carries the state.
 	if err := cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
@@ -102,6 +107,37 @@ func TestServesAndRecovers(t *testing.T) {
 	}
 	if second := get(addr, "/announcements"); second != first {
 		t.Fatalf("announcements changed across crash:\n%s\n---\n%s", first, second)
+	}
+}
+
+// checkMetrics scrapes the metrics listener named in banner and requires
+// real work from every layer: policy checks and compiled policies from the
+// request path, fsyncs from the write-ahead log, and verdict-cache hits
+// from the boot migrations' duplicate strictness proofs.
+func checkMetrics(t *testing.T, banner string, get func(addr, path string) string) {
+	t.Helper()
+	const prefix = "metrics on http://"
+	i := strings.Index(banner, prefix)
+	if i < 0 {
+		t.Fatalf("no metrics address in banner:\n%s", banner)
+	}
+	addr, _, _ := strings.Cut(banner[i+len(prefix):], "/metrics")
+	scrape := get(addr, "/metrics")
+	for _, name := range []string{
+		"scooter_orm_reads_checked_total",
+		"scooter_orm_policies_compiled_total",
+		"scooter_wal_fsyncs_total",
+		"scooter_verify_cache_hits_total",
+	} {
+		value := ""
+		for _, line := range strings.Split(scrape, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				value = v
+			}
+		}
+		if value == "" || value == "0" {
+			t.Errorf("metric %s missing or zero (got %q)", name, value)
+		}
 	}
 }
 

@@ -38,10 +38,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"scooter/internal/ast"
-	"scooter/internal/obs"
 	"scooter/internal/schema"
 	"scooter/internal/smt/term"
 	"scooter/internal/specfmt"
@@ -107,8 +105,6 @@ type Options struct {
 	// policy proofs use the same store under their own strictness keys.
 	Cache     *verify.Cache
 	VerdictDB *verify.VerdictDB
-	// Metrics, when set, observes each check in the workspace registry.
-	Metrics *obs.EquivMetrics
 }
 
 // Verdict classifies an equivalence check.
@@ -182,7 +178,6 @@ func (r *Report) Format() string {
 // universe); verdicts, counterexamples, and budget exhaustion are reported
 // in the Report.
 func Check(before *schema.Schema, a, b Side, opts Options) (*Report, error) {
-	start := time.Now()
 	bound := opts.Bound
 	if bound <= 0 {
 		bound = DefaultBound
@@ -202,9 +197,7 @@ func Check(before *schema.Schema, a, b Side, opts Options) (*Report, error) {
 
 	key := cacheKey(before, a, b, bound, maxU, rounds, kind)
 	if res, ok := verify.LookupVerdict(opts.Cache, opts.VerdictDB, nil, key); ok {
-		rep := reportFromResult(&res, bound)
-		observe(opts.Metrics, rep, start)
-		return rep, nil
+		return reportFromResult(&res, bound), nil
 	}
 
 	rep, err := check(before, a, b, bound, maxU, rounds, opts)
@@ -217,12 +210,7 @@ func Check(before *schema.Schema, a, b Side, opts Options) (*Report, error) {
 		// the run, matching the strictness-verdict cache rule.
 		verify.StoreVerdict(opts.Cache, opts.VerdictDB, key, resultFromReport(rep))
 	}
-	observe(opts.Metrics, rep, start)
 	return rep, nil
-}
-
-func observe(m *obs.EquivMetrics, rep *Report, start time.Time) {
-	m.RecordCheck(rep.Verdict.String(), time.Since(start).Seconds(), rep.Universes)
 }
 
 // check runs both phases cold (no verdict-cache consultation for the

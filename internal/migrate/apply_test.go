@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"scooter/internal/orm"
 	"scooter/internal/store"
 	"scooter/internal/store/wal"
 )
@@ -50,7 +51,7 @@ func TestApplyJournalClock(t *testing.T) {
 	db := store.Open()
 	seedChitter(t, db)
 
-	if _, applied, err := Apply(db, s, "001_bio", applyScript, applyOpts()); err != nil || !applied {
+	if applied, err := Apply(orm.Open(s, db), "001_bio", applyScript, applyOpts()); err != nil || !applied {
 		t.Fatalf("apply: applied=%v err=%v", applied, err)
 	}
 	entry, ok := NewJournal(db).Lookup("001_bio")
@@ -76,8 +77,8 @@ func TestApplyResumesPartial(t *testing.T) {
 	// Reference: uninterrupted apply.
 	ref := store.Open()
 	seedChitter(t, ref)
-	refAfter, _, err := Apply(ref, s, "001_bio", applyScript, opts)
-	if err != nil {
+	refConn := orm.Open(s, ref)
+	if _, err := Apply(refConn, "001_bio", applyScript, opts); err != nil {
 		t.Fatal(err)
 	}
 	want := snapBytes(t, ref)
@@ -100,7 +101,7 @@ func TestApplyResumesPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	crash := errors.New("simulated crash")
-	err = ExecuteFrom(plan, db, 0, func(idx int) error {
+	err = ExecuteFromAt(plan, db, nil, JournalEntry{AppliedAt: fixedClock().Unix()}, opts, func(idx int) error {
 		if err := journal.Progress(id, idx+1); err != nil {
 			return err
 		}
@@ -108,19 +109,20 @@ func TestApplyResumesPartial(t *testing.T) {
 			return crash
 		}
 		return nil
-	})
+	}, nil)
 	if !errors.Is(err, crash) {
-		t.Fatalf("ExecuteFrom err = %v, want simulated crash", err)
+		t.Fatalf("ExecuteFromAt err = %v, want simulated crash", err)
 	}
 	if got := journal.Check("001_bio", applyScript); got != StatusPartial {
 		t.Fatalf("status after crash = %v, want partial", got)
 	}
 
-	after, applied, err := Apply(db, s, "001_bio", applyScript, opts)
+	conn := orm.Open(s, db)
+	applied, err := Apply(conn, "001_bio", applyScript, opts)
 	if err != nil || !applied {
 		t.Fatalf("resume: applied=%v err=%v", applied, err)
 	}
-	if after.Model("User").Field("karma") == nil || refAfter.Model("User").Field("karma") == nil {
+	if conn.Schema().Model("User").Field("karma") == nil || refConn.Schema().Model("User").Field("karma") == nil {
 		t.Fatal("schema missing karma after resume")
 	}
 	if got := snapBytes(t, db); !bytes.Equal(got, want) {
@@ -151,7 +153,7 @@ User::AddField(joined : DateTime {
 	// Reference: uninterrupted apply under the original clock.
 	ref := store.Open()
 	seedChitter(t, ref)
-	if _, _, err := Apply(ref, s, "001_join", script, opts); err != nil {
+	if _, err := Apply(orm.Open(s, ref), "001_join", script, opts); err != nil {
 		t.Fatal(err)
 	}
 	want := snapBytes(t, ref)
@@ -175,12 +177,12 @@ User::AddField(joined : DateTime {
 		t.Fatal(err)
 	}
 	crash := errors.New("simulated crash")
-	err = ExecuteFromAt(plan, db, 0, fixedClock().Unix(), func(idx int) error {
+	err = ExecuteFromAt(plan, db, nil, JournalEntry{AppliedAt: fixedClock().Unix()}, opts, func(idx int) error {
 		if err := journal.Progress(id, idx+1); err != nil {
 			return err
 		}
 		return crash
-	})
+	}, nil)
 	if !errors.Is(err, crash) {
 		t.Fatalf("ExecuteFromAt err = %v, want simulated crash", err)
 	}
@@ -190,7 +192,7 @@ User::AddField(joined : DateTime {
 	// the real wall clock) and the resumed state diverged.
 	resumed := opts
 	resumed.Clock = func() time.Time { return fixedClock().Add(24 * time.Hour) }
-	if _, applied, err := Apply(db, s, "001_join", script, resumed); err != nil || !applied {
+	if applied, err := Apply(orm.Open(s, db), "001_join", script, resumed); err != nil || !applied {
 		t.Fatalf("resume: applied=%v err=%v", applied, err)
 	}
 
@@ -243,7 +245,7 @@ func TestApplyCrashMidScriptConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, applied, err := Apply(db, s, "001_bio", applyScript, opts); err != nil || !applied {
+	if applied, err := Apply(orm.Open(s, db), "001_bio", applyScript, opts); err != nil || !applied {
 		t.Fatalf("full apply: applied=%v err=%v", applied, err)
 	}
 	want := snapBytes(t, db)
@@ -281,7 +283,7 @@ func TestApplyCrashMidScriptConverges(t *testing.T) {
 				}
 			}
 		}
-		if _, _, err := Apply(db, s, "001_bio", applyScript, opts); err != nil {
+		if _, err := Apply(orm.Open(s, db), "001_bio", applyScript, opts); err != nil {
 			t.Fatalf("off %d: re-apply: %v", off, err)
 		}
 		if got := snapBytes(t, db); !bytes.Equal(got, want) {

@@ -60,7 +60,7 @@ func VerifyOnlineEquivalent(before *schema.Schema, name string, script *ast.Migr
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	online.Exec = func(db *store.DB) error {
-		return ExecuteOnlineFromAt(onlinePlan, db, 0, 0, equivNowUnix, Options{BatchSize: batchSize}, nil, nil)
+		return ExecuteFromAt(onlinePlan, db, nil, JournalEntry{AppliedAt: equivNowUnix}, Options{Online: true, BatchSize: batchSize}, nil, nil)
 	}
 	return equivcheck.Check(before, stw, online, opts)
 }
@@ -78,7 +78,7 @@ func scriptSide(before *schema.Schema, name string, script *ast.MigrationScript)
 		Inits:   scriptInits(script),
 		Mutated: mutatedModels(script),
 		Exec: func(db *store.DB) error {
-			return ExecuteFromAt(plan, db, 0, equivNowUnix, nil)
+			return ExecuteFromAt(plan, db, nil, JournalEntry{AppliedAt: equivNowUnix}, Options{}, nil, nil)
 		},
 	}
 	return side, nil

@@ -7,43 +7,52 @@ import (
 	"scooter/internal/ast"
 	"scooter/internal/equiv"
 	"scooter/internal/eval"
+	"scooter/internal/orm"
 	"scooter/internal/schema"
 	"scooter/internal/store"
 )
 
-// Execute applies a verified plan to the database. Verification has already
-// proven every command safe, so execution is straightforward: structural
-// commands adjust collections, AddField populates existing documents with
-// the initialiser, and policy commands have no data effect. Execution never
-// needs to roll back (paper §3.2): verification of the whole script
-// happened before any data was touched.
-func Execute(plan *Plan, db *store.DB) error {
-	return ExecuteFrom(plan, db, 0, nil)
-}
-
-// ExecuteFrom applies a plan starting at command index start; earlier
-// commands only advance the schema-so-far (their data effects are assumed
-// already present — the crash-recovery resume path). onApplied, when set,
-// runs after each executed command; Apply uses it to journal durable
+// ExecuteFromAt applies a verified plan to the database. Verification has
+// already proven every command safe, so execution is straightforward:
+// structural commands adjust collections, AddField populates existing
+// documents with the initialiser, and policy commands have no data effect.
+// Execution never needs to roll back (paper §3.2): verification of the
+// whole script happened before any data was touched.
+//
+// Execution resumes where the journal entry at left off. Commands before
+// at.Applied only advance the schema-so-far (their data effects are
+// already present — the crash-recovery resume path); onApplied, when set,
+// runs after each executed command, and Apply uses it to journal durable
 // per-command progress. Commands are idempotent against their own partial
 // effects (re-populating a field recomputes the same values; collection
 // create/drop and field removal are naturally idempotent), so resuming at
 // the last journalled command is safe even if it half-ran before a crash.
-func ExecuteFrom(plan *Plan, db *store.DB, start int, onApplied func(idx int) error) error {
-	return ExecuteFromAt(plan, db, start, time.Now().Unix(), onApplied)
-}
-
-// ExecuteFromAt is ExecuteFrom with an explicit now() timestamp: every
-// now() in an initialiser evaluates to nowUnix, for the whole run. Apply
-// passes the journal entry's AppliedAt, which survives a crash — without
-// this, a resumed run would re-populate unapplied now() fields with a
-// later wall-clock reading and diverge byte-wise from the uncrashed run.
-func ExecuteFromAt(plan *Plan, db *store.DB, start int, nowUnix int64, onApplied func(idx int) error) error {
+// Every now() in an initialiser evaluates to at.AppliedAt for the whole
+// run: Apply passes the entry's original timestamp, which survives a
+// crash, so a resumed run re-populates now() fields byte-identically.
+//
+// With opts.Online an AddField populates in batches (see online.go): the
+// command at at.Applied resumes its sweep above at.Watermark, checkpoint
+// (when set) reports each batch's durable progress, and conn (when set)
+// serves the field lazily to foreground operations until the sweep ends.
+// Otherwise AddField is the stop-the-world populate, the reference the
+// online sweep is tested against.
+func ExecuteFromAt(plan *Plan, db *store.DB, conn *orm.Conn, at JournalEntry, opts Options, onApplied func(idx int) error, checkpoint func(watermark store.ID) error) error {
 	cur := plan.Before.Clone()
 	defs := equiv.New()
 	for i, cmd := range plan.Script.Commands {
-		if i >= start {
-			if err := executeCommand(cur, defs, db, cmd, nowUnix); err != nil {
+		if i >= at.Applied {
+			var err error
+			if af, ok := cmd.(*ast.AddField); ok && opts.Online {
+				watermark := store.Nil
+				if i == at.Applied {
+					watermark = at.Watermark
+				}
+				err = backfillAddField(cur, db, conn, af, at.AppliedAt, watermark, opts, checkpoint)
+			} else {
+				err = executeCommand(cur, defs, db, cmd, at.AppliedAt)
+			}
+			if err != nil {
 				return fmt.Errorf("executing command %d (%s): %w", i+1, cmd.Name(), err)
 			}
 			if onApplied != nil {
@@ -129,7 +138,7 @@ func VerifyAndExecute(before *schema.Schema, script *ast.MigrationScript, db *st
 	if opts.Clock != nil {
 		now = opts.Clock
 	}
-	if err := ExecuteFromAt(plan, db, 0, now().Unix(), nil); err != nil {
+	if err := ExecuteFromAt(plan, db, nil, JournalEntry{AppliedAt: now().Unix()}, opts, nil, nil); err != nil {
 		return nil, err
 	}
 	return plan.After, nil

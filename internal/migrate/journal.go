@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"time"
 
+	"scooter/internal/orm"
+	"scooter/internal/schema"
+	"scooter/internal/specfmt"
 	"scooter/internal/store"
 )
 
@@ -21,6 +24,48 @@ import (
 // JournalCollection is the reserved collection holding applied-migration
 // records.
 const JournalCollection = "$migrations"
+
+// SpecCollection is the reserved collection carrying the authoritative
+// specification text. Apply rewrites it whenever a migration's schema
+// takes effect, so the spec replicates with the data and a follower
+// enforces the same policies without being handed the migration history
+// out of band.
+const SpecCollection = "$spec"
+
+// Publish makes after the live schema of conn and stores its text in
+// SpecCollection. Re-publishing an unchanged spec (a crash-resumed
+// migration retracing its commit) writes nothing, so the logged bytes are
+// the same however many times a recovery retraces it. A durability
+// failure is returned: a spec write a follower may never see must not be
+// acknowledged.
+func Publish(conn *orm.Conn, after *schema.Schema) error {
+	conn.SetSchema(after)
+	text := specfmt.Format(after)
+	c := conn.DB.Collection(SpecCollection)
+	if docs := c.Find(); len(docs) == 0 {
+		c.Insert(store.Doc{"spec": text})
+	} else if s, _ := docs[0]["spec"].(string); s != text {
+		if err := c.Update(docs[0].ID(), store.Doc{"spec": text}); err != nil {
+			return err
+		}
+	}
+	return conn.DB.DurabilityErr()
+}
+
+// StoredSpec reads the specification text out of a database ("" when none
+// was published), without creating the reserved collection.
+func StoredSpec(db *store.DB) string {
+	c, ok := db.Lookup(SpecCollection)
+	if !ok {
+		return ""
+	}
+	docs := c.Find()
+	if len(docs) == 0 {
+		return ""
+	}
+	s, _ := docs[0]["spec"].(string)
+	return s
+}
 
 // JournalEntry describes one applied (or partially applied) migration.
 type JournalEntry struct {
@@ -197,19 +242,6 @@ func (j *Journal) Finish(id store.ID, applied int) error {
 	return j.db.Collection(JournalCollection).Update(id, store.Doc{
 		"applied": int64(applied),
 		"done":    true,
-	})
-}
-
-// Record journals an already-completed application in one step; callers
-// that need crash-safe progress use Begin/Progress/Finish instead.
-func (j *Journal) Record(name, src string, commands int) {
-	j.db.Collection(JournalCollection).Insert(store.Doc{
-		"name":      name,
-		"hash":      scriptHash(src),
-		"appliedAt": j.now(),
-		"commands":  int64(commands),
-		"applied":   int64(commands),
-		"done":      true,
 	})
 }
 

@@ -82,12 +82,11 @@ type Options struct {
 	// over the collection. Each batch is durable on its own and followed by
 	// a journal watermark checkpoint, so a crash resumes mid-command at the
 	// first unswept document, and foreground reads and writes interleave
-	// between batches. During each backfill the LazyBegin/LazyEnd hooks
-	// bracket a dual-read window in which callers migrate not-yet-swept
-	// documents on access; the final state is byte-identical to the
-	// stop-the-world result because both compute the new field from the
-	// document's window-start shape exactly once (the sweep skips documents
-	// the window already migrated).
+	// between batches. During each backfill a dual-read window on the
+	// connection migrates not-yet-swept documents on access; the final
+	// state is byte-identical to the stop-the-world result because both
+	// compute the new field from the document's window-start shape exactly
+	// once (the sweep skips documents the window already migrated).
 	Online bool
 	// BatchSize bounds the number of documents per online backfill batch
 	// (DefaultBatchSize when 0).
@@ -100,22 +99,10 @@ type Options struct {
 	// Backfill, when set, observes per-batch progress (docs populated,
 	// docs skipped, watermark, remaining) in the workspace registry.
 	Backfill *obs.BackfillMetrics
-	// OnPlanned runs once per online Apply, after the journal entry is open
-	// but before any command executes, with the post-migration schema. The
-	// Workspace uses it to flip the live schema and fence `$spec` at the
-	// start of the window, so readers (local and follower) enforce the
-	// post-migration spec against every document the window can produce.
-	OnPlanned func(after *schema.Schema) error
-	// LazyBegin opens the dual-read window for one backfilling field:
-	// compute derives the field's value from a document that predates the
-	// sweep (it is safe for concurrent use). LazyEnd closes the window once
-	// the sweep has covered the collection. Both are optional.
-	LazyBegin func(model, field string, compute func(doc store.Doc) (store.Value, error)) error
-	LazyEnd   func(model, field string)
 	// OnBatch runs after each batch's watermark checkpoint is durable,
 	// while no store lock is held. Tests use it to interleave deterministic
-	// foreground traffic at batch boundaries; the Workspace uses it to
-	// bound how long its migration lock is held between yields.
+	// foreground traffic at batch boundaries, and benchmarks use it to
+	// time the gaps between batches.
 	OnBatch func(model, field string, watermark store.ID, remaining int) error
 }
 

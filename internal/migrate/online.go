@@ -1,12 +1,11 @@
 package migrate
 
 import (
-	"fmt"
 	"time"
 
 	"scooter/internal/ast"
-	"scooter/internal/equiv"
 	"scooter/internal/eval"
+	"scooter/internal/orm"
 	"scooter/internal/schema"
 	"scooter/internal/store"
 )
@@ -15,7 +14,7 @@ import (
 // document — AddField populate — into bounded batches, each durable on its
 // own and checkpointed with a journal watermark. Everything else about
 // execution (schema-so-far advancement, command ordering, idempotent
-// resume) is shared with the stop-the-world path in exec.go.
+// resume) is the stop-the-world loop in exec.go, ExecuteFromAt.
 //
 // Convergence argument (the acceptance bar is byte-identical equality with
 // the stop-the-world result): the new field's value for every document is
@@ -31,50 +30,10 @@ import (
 // So no interleaving of batches, crashes, and foreground traffic can make
 // a document's new field differ from the stop-the-world value.
 
-// ExecuteOnlineFromAt is the online sibling of ExecuteFromAt: backfilling
-// commands run in batches resuming at startWatermark (which belongs to the
-// command at index start — command completion resets it), and checkpoint
-// reports each batch's durable progress for journalling. Non-backfilling
-// commands execute exactly as in the stop-the-world path.
-func ExecuteOnlineFromAt(plan *Plan, db *store.DB, start int, startWatermark store.ID, nowUnix int64, opts Options, onApplied func(idx int) error, checkpoint func(idx int, watermark store.ID) error) error {
-	cur := plan.Before.Clone()
-	defs := equiv.New()
-	for i, cmd := range plan.Script.Commands {
-		if i >= start {
-			var err error
-			if af, ok := cmd.(*ast.AddField); ok {
-				wm := store.Nil
-				if i == start {
-					wm = startWatermark
-				}
-				err = backfillAddField(cur, db, af, nowUnix, wm, opts, func(w store.ID) error {
-					if checkpoint == nil {
-						return nil
-					}
-					return checkpoint(i, w)
-				})
-			} else {
-				err = executeCommand(cur, defs, db, cmd, nowUnix)
-			}
-			if err != nil {
-				return fmt.Errorf("executing command %d (%s): %w", i+1, cmd.Name(), err)
-			}
-			if onApplied != nil {
-				if err := onApplied(i); err != nil {
-					return fmt.Errorf("journalling command %d (%s): %w", i+1, cmd.Name(), err)
-				}
-			}
-		}
-		if err := applyCommand(cur, defs, cmd); err != nil {
-			return fmt.Errorf("recording command %d (%s): %w", i+1, cmd.Name(), err)
-		}
-	}
-	return nil
-}
-
-// backfillAddField populates an added field in bounded batches, opening
-// the dual-read window for the field's lifetime of the sweep.
-func backfillAddField(cur *schema.Schema, db *store.DB, c *ast.AddField, nowUnix int64, after store.ID, opts Options, checkpoint func(watermark store.ID) error) error {
+// backfillAddField populates an added field in bounded batches above the
+// watermark after, keeping conn's dual-read window open for the field for
+// the lifetime of the sweep (conn is nil when nothing reads concurrently).
+func backfillAddField(cur *schema.Schema, db *store.DB, conn *orm.Conn, c *ast.AddField, nowUnix int64, after store.ID, opts Options, checkpoint func(watermark store.ID) error) error {
 	batch := opts.BatchSize
 	if batch <= 0 {
 		batch = DefaultBatchSize
@@ -92,13 +51,9 @@ func backfillAddField(cur *schema.Schema, db *store.DB, c *ast.AddField, nowUnix
 		}
 		return normaliseForField(c.Field.Type, v), nil
 	}
-	if opts.LazyBegin != nil {
-		if err := opts.LazyBegin(c.ModelName, c.Field.Name, compute); err != nil {
-			return err
-		}
-	}
-	if opts.LazyEnd != nil {
-		defer opts.LazyEnd(c.ModelName, c.Field.Name)
+	if conn != nil {
+		conn.SetLazyMigration(c.ModelName, c.Field.Name, compute)
+		defer conn.ClearLazyMigration(c.ModelName)
 	}
 	coll := db.Collection(c.ModelName)
 	// Pacing is elapsed-based, settled once per batch: per-document sleeps
@@ -148,8 +103,10 @@ func backfillAddField(cur *schema.Schema, db *store.DB, c *ast.AddField, nowUnix
 		}
 		// The watermark checkpoint is logged after the batch's own updates,
 		// so a recovered watermark never claims unswept documents.
-		if err := checkpoint(watermark); err != nil {
-			return err
+		if checkpoint != nil {
+			if err := checkpoint(watermark); err != nil {
+				return err
+			}
 		}
 		remaining := coll.CountAfter(watermark)
 		opts.Backfill.RecordBatch(populated, skipped, int64(watermark), remaining)

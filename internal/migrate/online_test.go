@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"scooter/internal/eval"
+	"scooter/internal/orm"
 	"scooter/internal/store"
 	"scooter/internal/store/wal"
 )
@@ -36,59 +38,79 @@ func TestOnlineApplyMatchesStopTheWorld(t *testing.T) {
 
 	ref := store.Open()
 	seedMany(t, ref, 10)
-	if _, applied, err := Apply(ref, s, "001_bio", applyScript, applyOpts()); err != nil || !applied {
+	if applied, err := Apply(orm.Open(s, ref), "001_bio", applyScript, applyOpts()); err != nil || !applied {
 		t.Fatalf("stop-the-world apply: applied=%v err=%v", applied, err)
 	}
 	want := snapBytes(t, ref)
 
 	db := store.Open()
 	seedMany(t, db, 10)
+	users := db.Collection("User")
+	seeded := users.Find()
+	last := seeded[len(seeded)-1].ID()
+	conn := orm.Open(s, db)
+	anon := conn.AsPrinc(eval.StaticPrincipal("Unauthenticated"))
 	opts := applyOpts()
 	opts.Online = true
 	opts.BatchSize = 3
-	var begins, ends []string
+	var windows []string
 	var watermarks []store.ID
 	lastRemaining := -1
-	opts.LazyBegin = func(model, field string, compute func(store.Doc) (store.Value, error)) error {
-		begins = append(begins, model+"."+field)
-		// compute derives the initialiser's value from an unmigrated doc.
-		doc, _ := db.Collection("User").Get(store.ID(2))
-		probe := store.Doc{}
-		for k, v := range doc {
-			if k != field {
-				probe[k] = v
-			}
-		}
-		v, err := compute(probe)
-		if err != nil {
-			return err
-		}
-		if field == "bio" && v != "I'm u000" {
-			t.Errorf("lazy compute for bio = %v, want %q", v, "I'm u000")
-		}
-		return nil
-	}
-	opts.LazyEnd = func(model, field string) { ends = append(ends, model+"."+field) }
 	opts.OnBatch = func(model, field string, watermark store.ID, remaining int) error {
 		watermarks = append(watermarks, watermark)
 		lastRemaining = remaining
+		if remaining == 0 {
+			return nil
+		}
+		// The last seeded document is unswept until the final batch: the
+		// stored copy lacks the field, and the connection's open window
+		// derives it from the document's old shape.
+		if doc, _ := users.Get(last); doc[field] != nil {
+			return fmt.Errorf("doc %v swept before the final batch", last)
+		}
+		obj, err := anon.FindByID(model, last)
+		if err != nil || obj == nil {
+			return fmt.Errorf("read in the window: obj=%v err=%v", obj, err)
+		}
+		v, ok := obj.Get(field)
+		if !ok {
+			return fmt.Errorf("no window open for %s.%s at watermark %v", model, field, watermark)
+		}
+		if field == "bio" && v != "I'm u009" {
+			t.Errorf("lazy value for bio = %v, want %q", v, "I'm u009")
+		}
+		if w := model + "." + field; len(windows) == 0 || windows[len(windows)-1] != w {
+			windows = append(windows, w)
+		}
 		return nil
 	}
-	after, applied, err := Apply(db, s, "001_bio", applyScript, opts)
+	applied, err := Apply(conn, "001_bio", applyScript, opts)
 	if err != nil || !applied {
 		t.Fatalf("online apply: applied=%v err=%v", applied, err)
 	}
-	if after.Model("User").Field("karma") == nil {
+	if conn.Schema().Model("User").Field("karma") == nil {
 		t.Fatal("schema missing karma after online apply")
 	}
 	if got := snapBytes(t, db); !bytes.Equal(got, want) {
 		t.Fatalf("online result differs from stop-the-world:\n%s\n---\n%s", got, want)
 	}
 
-	// Both AddFields opened and closed a window, in order.
-	wantWindows := []string{"User.bio", "User.karma"}
-	if fmt.Sprint(begins) != fmt.Sprint(wantWindows) || fmt.Sprint(ends) != fmt.Sprint(wantWindows) {
-		t.Fatalf("windows: begins=%v ends=%v", begins, ends)
+	// Both AddFields opened a window, in order, and none outlives Apply:
+	// a document lacking both fields reads without them.
+	if wantWindows := []string{"User.bio", "User.karma"}; fmt.Sprint(windows) != fmt.Sprint(wantWindows) {
+		t.Fatalf("windows: %v, want %v", windows, wantWindows)
+	}
+	late := users.Insert(store.Doc{
+		"name": "late", "email": "late@x", "pronouns": "they/them", "isAdmin": false, "followers": []store.Value{},
+	})
+	obj, err := anon.FindByID("User", late)
+	if err != nil || obj == nil {
+		t.Fatalf("read after apply: obj=%v err=%v", obj, err)
+	}
+	for _, field := range []string{"bio", "karma"} {
+		if v, ok := obj.Get(field); ok {
+			t.Fatalf("lazy window for %s still open after apply: %#v", field, v)
+		}
 	}
 	// 10 docs / batch 3 = 4 batches per command, watermarks increasing
 	// within each command and resetting between commands.
@@ -149,7 +171,7 @@ func TestOnlineApplyCrashMidBackfillConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, applied, err := Apply(db, s, "001_bio", applyScript, opts); err != nil || !applied {
+	if applied, err := Apply(orm.Open(s, db), "001_bio", applyScript, opts); err != nil || !applied {
 		t.Fatalf("full online apply: applied=%v err=%v", applied, err)
 	}
 	want := snapBytes(t, db)
@@ -190,7 +212,7 @@ func TestOnlineApplyCrashMidBackfillConverges(t *testing.T) {
 				}
 			}
 		}
-		if _, _, err := Apply(db, s, "001_bio", applyScript, opts); err != nil {
+		if _, err := Apply(orm.Open(s, db), "001_bio", applyScript, opts); err != nil {
 			t.Fatalf("off %d: online re-apply: %v", off, err)
 		}
 		if got := snapBytes(t, db); !bytes.Equal(got, want) {
@@ -245,7 +267,7 @@ func TestJournalBeginRevalidates(t *testing.T) {
 	// Apply surfaces the refusal instead of executing anything.
 	s := loadSchema(t, chitterBase)
 	seedChitter(t, db)
-	if _, _, err := Apply(db, s, "001_bio", applyScript, applyOpts()); !errors.As(err, &corrupt) {
+	if _, err := Apply(orm.Open(s, db), "001_bio", applyScript, applyOpts()); !errors.As(err, &corrupt) {
 		t.Fatalf("Apply over corrupt journal: %v", err)
 	}
 }

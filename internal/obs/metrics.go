@@ -152,30 +152,6 @@ func (v *CounterVec) With(value string) *Counter {
 	return c
 }
 
-// GaugeVec is a family of gauges split by one label. Get-or-create per
-// label value; a nil *GaugeVec hands out nil gauges (no-op sinks).
-type GaugeVec struct {
-	mu    sync.Mutex
-	label string
-	m     map[string]*Gauge
-}
-
-// With returns the gauge for the given label value, creating it on first
-// use. Nil-safe.
-func (v *GaugeVec) With(value string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	g, ok := v.m[value]
-	if !ok {
-		g = &Gauge{}
-		v.m[value] = g
-	}
-	return g
-}
-
 // metricKind classifies a family for # TYPE lines.
 type metricKind int
 
@@ -205,7 +181,6 @@ type family struct {
 	gauge   *Gauge
 	hist    *Histogram
 	vec     *CounterVec
-	gvec    *GaugeVec
 	fn      func() float64 // CounterFunc / GaugeFunc collector
 }
 
@@ -269,16 +244,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.register(name, help, kindGauge, func() *family {
 		return &family{gauge: &Gauge{}}
 	}).gauge
-}
-
-// GaugeVec registers (or retrieves) a gauge family split by one label.
-func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return r.register(name, help, kindGauge, func() *family {
-		return &family{gvec: &GaugeVec{label: label, m: map[string]*Gauge{}}}
-	}).gvec
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time; used
@@ -376,25 +341,6 @@ func writeFamily(w io.Writer, f *family) error {
 		f.vec.mu.Unlock()
 		for i, v := range values {
 			if _, err := fmt.Fprintf(w, "%s{%s=%q} %d\n", f.name, label, v, counters[i].Value()); err != nil {
-				return err
-			}
-		}
-		return nil
-	case f.gvec != nil:
-		f.gvec.mu.Lock()
-		values := make([]string, 0, len(f.gvec.m))
-		for v := range f.gvec.m {
-			values = append(values, v)
-		}
-		sort.Strings(values)
-		gauges := make([]*Gauge, len(values))
-		for i, v := range values {
-			gauges[i] = f.gvec.m[v]
-		}
-		label := f.gvec.label
-		f.gvec.mu.Unlock()
-		for i, v := range values {
-			if _, err := fmt.Fprintf(w, "%s{%s=%q} %s\n", f.name, label, v, formatFloat(gauges[i].Value())); err != nil {
 				return err
 			}
 		}

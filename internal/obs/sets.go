@@ -50,40 +50,6 @@ func (m *VerifyMetrics) RecordUnknown(reason string) {
 	m.Unknowns.With(reason).Inc()
 }
 
-// EquivMetrics observes the bounded equivalence checker: checks completed,
-// per-check wall time, verdicts by outcome, and document universes
-// enumerated — the equivalence siblings of VerifyMetrics, so equivalence
-// proofs are as observable as strictness proofs.
-type EquivMetrics struct {
-	Checks       *Counter
-	CheckSeconds *Histogram
-	Verdicts     *CounterVec
-	Universes    *Counter
-}
-
-// NewEquivMetrics registers the scooter_equiv_* family in reg.
-func NewEquivMetrics(reg *Registry) *EquivMetrics {
-	return &EquivMetrics{
-		Checks:       reg.Counter("scooter_equiv_checks_total", "Bounded equivalence checks completed (all verdicts)."),
-		CheckSeconds: reg.Histogram("scooter_equiv_check_seconds", "Per-check wall time in seconds.", SecondsBuckets),
-		Verdicts:     reg.CounterVec("scooter_equiv_verdict_total", "Equivalence check verdicts by outcome.", "verdict"),
-		Universes:    reg.Counter("scooter_equiv_universes_total", "Document universes enumerated by data-phase replays."),
-	}
-}
-
-// RecordCheck records one finished equivalence check: its verdict label,
-// wall time, and how many universes the data phase replayed (0 on a cache
-// hit or a phase-1 short-circuit). Nil-safe.
-func (m *EquivMetrics) RecordCheck(verdict string, seconds float64, universes int) {
-	if m == nil {
-		return
-	}
-	m.Checks.Inc()
-	m.CheckSeconds.Observe(seconds)
-	m.Verdicts.With(verdict).Inc()
-	m.Universes.Add(int64(universes))
-}
-
 // WALMetrics observes the write-ahead log: appends, physical writes,
 // fsyncs, group-commit batch sizes, compactions, and recovery.
 type WALMetrics struct {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"scooter"
-	"scooter/internal/schema"
 	"scooter/internal/store/wal"
 )
 
@@ -298,11 +297,20 @@ func lazyShimRace(t *testing.T, w *scooter.Workspace) {
 	}
 }
 
-// TestOnlineReadBeforeLazyWindow reads through the ORM from inside the
-// `$spec` fence, after the schema has flipped to declare the new field but
-// before the dual-read window opens. No document carries the field yet and
-// nothing can derive it, so the field must be absent from every Object —
-// not readable as a nil value — and a filter on it must match nothing.
+// onlineTwoFieldScript adds two fields: during the first field's sweep the
+// second is already declared (the fence published the whole script's
+// spec) but its dual-read window is not open yet.
+const onlineTwoFieldScript = `
+User::AddField(bio : String { read: public, write: public }, u -> "I'm " + u.name);
+User::AddField(motto : String { read: public, write: public }, u -> "motto " + u.name);
+`
+
+// TestOnlineReadBeforeLazyWindow reads through the ORM during the first
+// field's sweep of a two-field online migration: the schema has flipped to
+// declare the second field, but its window has not opened. No document
+// carries that field yet and nothing can derive it, so it must be absent
+// from every Object — not readable as a nil value — and a filter on it
+// must match nothing.
 func TestOnlineReadBeforeLazyWindow(t *testing.T) {
 	w := scooter.NewWorkspace()
 	ids := seedOnline(t, w, 4)
@@ -310,33 +318,39 @@ func TestOnlineReadBeforeLazyWindow(t *testing.T) {
 
 	opts := onlineTestOpts()
 	opts.Online = true
+	opts.BatchSize = 2
 	checked := false
-	opts.OnPlanned = func(after *schema.Schema) error {
-		if after.Model("User").Field("bio") == nil || !strings.Contains(w.SpecText(), "bio") {
-			return fmt.Errorf("OnPlanned ran before the schema flip")
+	opts.OnBatch = func(model, field string, watermark scooter.ID, remaining int) error {
+		if field != "bio" {
+			return nil
+		}
+		if !strings.Contains(w.SpecText(), "motto") {
+			return fmt.Errorf("first sweep ran before the schema flip")
 		}
 		checked = true
-		obj, err := anon.FindByID("User", ids[0])
-		if err != nil || obj == nil {
-			return fmt.Errorf("FindByID in the fence: obj=%v err=%v", obj, err)
+		for _, id := range ids {
+			obj, err := anon.FindByID("User", id)
+			if err != nil || obj == nil {
+				return fmt.Errorf("FindByID during the bio sweep: obj=%v err=%v", obj, err)
+			}
+			if v, ok := obj.Get("motto"); ok {
+				return fmt.Errorf("motto readable before any document carries it: %#v", v)
+			}
+			if _, ok := obj.Fields()["motto"]; ok {
+				return fmt.Errorf("Fields() lists motto before any document carries it")
+			}
 		}
-		if v, ok := obj.Get("bio"); ok {
-			return fmt.Errorf("bio readable before any document carries it: %#v", v)
-		}
-		if _, ok := obj.Fields()["bio"]; ok {
-			return fmt.Errorf("Fields() lists bio before any document carries it")
-		}
-		objs, err := anon.Find("User", scooter.Eq("bio", "I'm u000"))
+		objs, err := anon.Find("User", scooter.Eq("motto", "motto u000"))
 		if err != nil || len(objs) != 0 {
-			return fmt.Errorf("Find on bio in the fence: %d objects, err=%v", len(objs), err)
+			return fmt.Errorf("Find on motto during the bio sweep: %d objects, err=%v", len(objs), err)
 		}
 		return nil
 	}
-	if _, err := w.MigrateNamedOpts("001_bio", onlineBioScript, opts); err != nil {
+	if _, err := w.MigrateNamedOpts("001_bio_motto", onlineTwoFieldScript, opts); err != nil {
 		t.Fatal(err)
 	}
 	if !checked {
-		t.Fatal("OnPlanned hook never ran")
+		t.Fatal("the bio sweep never reached a batch boundary")
 	}
 	obj, err := anon.FindByID("User", ids[0])
 	if err != nil {
@@ -344,6 +358,9 @@ func TestOnlineReadBeforeLazyWindow(t *testing.T) {
 	}
 	if bio, _ := obj.Get("bio"); bio != "I'm u000" {
 		t.Fatalf("bio after the backfill: %#v", bio)
+	}
+	if motto, _ := obj.Get("motto"); motto != "motto u000" {
+		t.Fatalf("motto after the backfill: %#v", motto)
 	}
 }
 
@@ -617,4 +634,50 @@ func TestOnlineKillSweep(t *testing.T) {
 		kills++
 	}
 	t.Logf("%d kill points converged byte-identically", kills)
+}
+
+// TestLiveSchemaReadsDuringMigrations reads the live schema through every
+// Workspace accessor while a stop-the-world and an online migration flip
+// it. Under -race the reads must not race the flips: the ORM connection is
+// the one holder of the live schema.
+func TestLiveSchemaReadsDuringMigrations(t *testing.T) {
+	w := scooter.NewWorkspace()
+	seedOnline(t, w, 8)
+	stop := make(chan struct{})
+	readerDone := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				readerDone <- nil
+				return
+			default:
+			}
+			if !strings.Contains(w.SpecText(), "User") || len(w.Models()) != 1 || len(w.StaticPrincipals()) != 1 {
+				readerDone <- fmt.Errorf("torn schema read:\n%s", w.SpecText())
+				return
+			}
+			if _, err := w.Verify(`User::UpdateFieldWritePolicy(age, none);`); err != nil {
+				readerDone <- err
+				return
+			}
+		}
+	}()
+	if _, err := w.MigrateNamed("001_bio", onlineBioScript); err != nil {
+		t.Fatal(err)
+	}
+	opts := onlineTestOpts()
+	opts.Online = true
+	opts.BatchSize = 2
+	const motto = `User::AddField(motto : String { read: public, write: public }, u -> "motto " + u.name);`
+	if _, err := w.MigrateNamedOpts("002_motto", motto, opts); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	if err := <-readerDone; err != nil {
+		t.Fatal(err)
+	}
+	if spec := w.SpecText(); !strings.Contains(spec, "bio") || !strings.Contains(spec, "motto") {
+		t.Fatalf("spec after both migrations:\n%s", spec)
+	}
 }

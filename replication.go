@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"scooter/internal/migrate"
 	"scooter/internal/obs"
 	"scooter/internal/orm"
 	"scooter/internal/replica"
@@ -36,42 +37,6 @@ type (
 // state mirrors the primary's log; local writes would diverge from it.
 var ErrReadOnly = orm.ErrReadOnly
 
-// specCollection is the reserved collection carrying the authoritative
-// specification text. The primary rewrites it after every migration, so
-// the spec replicates with the data and a follower can enforce the same
-// policies without being handed the migration history out of band.
-const specCollection = "$spec"
-
-// persistSpec stores the current specification text in the database.
-// Re-persisting an unchanged spec (a crash-resumed migration replaying its
-// final step) is a no-op, so the logged bytes are the same however many
-// times a recovery retraces the commit.
-func persistSpec(db *store.DB, text string) {
-	c := db.Collection(specCollection)
-	if docs := c.Find(); len(docs) > 0 {
-		if s, _ := docs[0]["spec"].(string); s != text {
-			c.Update(docs[0].ID(), store.Doc{"spec": text})
-		}
-		return
-	}
-	c.Insert(store.Doc{"spec": text})
-}
-
-// loadSpecText reads the specification text out of a database, without
-// creating the reserved collection when it is absent.
-func loadSpecText(db *store.DB) string {
-	c, ok := db.Lookup(specCollection)
-	if !ok {
-		return ""
-	}
-	docs := c.Find()
-	if len(docs) == 0 {
-		return ""
-	}
-	s, _ := docs[0]["spec"].(string)
-	return s
-}
-
 // parseSpec builds a checked schema from stored specification text.
 func parseSpec(text string) (*schema.Schema, error) {
 	if text == "" {
@@ -81,7 +46,7 @@ func parseSpec(text string) (*schema.Schema, error) {
 	if err != nil {
 		return nil, err
 	}
-	return w.schema, nil
+	return w.conn.Schema(), nil
 }
 
 // ServeReplication starts streaming this workspace's write-ahead log to
@@ -217,7 +182,7 @@ func (fw *FollowerWorkspace) MetricsHandler() http.Handler { return obs.Handler(
 // never bypassed: the new connection is read-only with enforcement on.
 func (fw *FollowerWorkspace) refresh() error {
 	db := fw.f.DB()
-	text := loadSpecText(db)
+	text := migrate.StoredSpec(db)
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	if fw.conn != nil && db == fw.db && text == fw.specText {

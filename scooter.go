@@ -116,10 +116,11 @@ func DefaultOptions() Options { return migrate.DefaultOptions() }
 // and the policy-enforcing connection. It is the programmatic equivalent of
 // a Scooter project directory.
 type Workspace struct {
-	schema *schema.Schema
-	db     *store.DB
-	conn   *orm.Conn
-	wal    *wal.Log
+	db *store.DB
+	// conn is the one holder of the live schema: migrations flip it (see
+	// migrate.Apply) and every reader loads conn.Schema() once per call.
+	conn *orm.Conn
+	wal  *wal.Log
 	// repl is the replication server, when ServeReplication started one.
 	repl *ReplicationServer
 	// closeMu serialises Close against concurrent callers (and against
@@ -189,7 +190,6 @@ func newWorkspace(s *schema.Schema, db *store.DB, reg *obs.Registry) *Workspace 
 	ormM := obs.NewORMMetrics(reg)
 	conn.SetMetrics(ormM)
 	return &Workspace{
-		schema:          s,
 		db:              db,
 		conn:            conn,
 		reg:             reg,
@@ -210,9 +210,10 @@ func (w *Workspace) Metrics() *obs.Registry { return w.reg }
 func (w *Workspace) MetricsHandler() http.Handler { return obs.Handler(w.reg) }
 
 // fillObsDefaults points unset observability options at the workspace's
-// own cache, stats and metric sets, so Migrate calls are observed without
-// callers having to wire anything. A caller's own Stats replaces the
-// workspace's, so its counters then stay out of the registry.
+// own cache, stats and metric sets, so Migrate calls (online backfills
+// included) are observed without callers having to wire anything. A
+// caller's own Stats replaces the workspace's, so its counters then stay
+// out of the registry.
 func (w *Workspace) fillObsDefaults(opts *Options) {
 	if opts.Cache == nil {
 		opts.Cache = w.cache
@@ -222,6 +223,9 @@ func (w *Workspace) fillObsDefaults(opts *Options) {
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = w.verifyMetrics
+	}
+	if opts.Backfill == nil {
+		opts.Backfill = w.backfillMetrics
 	}
 }
 
@@ -332,7 +336,7 @@ func LoadSpec(src string) (*Workspace, error) {
 
 // SpecText renders the current authoritative specification as Scooter_p
 // source. Scooter maintains this file automatically; users never edit it.
-func (w *Workspace) SpecText() string { return specfmt.Format(w.schema) }
+func (w *Workspace) SpecText() string { return specfmt.Format(w.conn.Schema()) }
 
 // Migrate verifies a Scooter_m script against the current specification
 // and, when safe, executes it against the database and updates the
@@ -347,14 +351,11 @@ func (w *Workspace) Migrate(src string) error {
 	}
 	opts := migrate.DefaultOptions()
 	w.fillObsDefaults(&opts)
-	after, err := migrate.VerifyAndExecute(w.schema, script, w.db, opts)
+	after, err := migrate.VerifyAndExecute(w.conn.Schema(), script, w.db, opts)
 	if err != nil {
 		return err
 	}
-	w.schema = after
-	w.conn.SetSchema(after)
-	persistSpec(w.db, w.SpecText())
-	return nil
+	return migrate.Publish(w.conn, after)
 }
 
 // Verify checks a migration script without executing it, returning the
@@ -366,7 +367,7 @@ func (w *Workspace) Verify(src string) (*Plan, error) {
 	}
 	opts := migrate.DefaultOptions()
 	w.fillObsDefaults(&opts)
-	return migrate.Verify(w.schema, script, opts)
+	return migrate.Verify(w.conn.Schema(), script, opts)
 }
 
 // AsPrinc returns a handle performing operations on behalf of p.
@@ -380,13 +381,14 @@ func (w *Workspace) SetEnforcement(on bool) { w.conn.SetEnforcement(on) }
 // Schema changes surface as compile-time type errors in code using the
 // generated package, mirroring the paper's generated Rust ORM.
 func (w *Workspace) GenerateORM(pkgName string) (string, error) {
-	return gen.Generate(w.schema, pkgName)
+	return gen.Generate(w.conn.Schema(), pkgName)
 }
 
 // Models lists the model names in the current specification.
 func (w *Workspace) Models() []string {
-	names := make([]string, 0, len(w.schema.Models))
-	for _, m := range w.schema.Models {
+	s := w.conn.Schema()
+	names := make([]string, 0, len(s.Models))
+	for _, m := range s.Models {
 		names = append(names, m.Name)
 	}
 	return names
@@ -394,7 +396,7 @@ func (w *Workspace) Models() []string {
 
 // StaticPrincipals lists the declared static principals.
 func (w *Workspace) StaticPrincipals() []string {
-	return append([]string(nil), w.schema.Statics...)
+	return append([]string(nil), w.conn.Schema().Statics...)
 }
 
 // InsertRaw bypasses policy checks to seed data (test fixtures and
@@ -407,15 +409,16 @@ func (w *Workspace) InsertRaw(model string, fields Doc) ID {
 // that newPolicy (source text) is at least as strict as oldPolicy for an
 // operation on model, returning a counterexample otherwise.
 func (w *Workspace) CheckPolicyStrictness(model, oldPolicy, newPolicy string) (*Counterexample, error) {
-	pOld, err := parsePolicyFor(w.schema, model, oldPolicy)
+	s := w.conn.Schema()
+	pOld, err := parsePolicyFor(s, model, oldPolicy)
 	if err != nil {
 		return nil, err
 	}
-	pNew, err := parsePolicyFor(w.schema, model, newPolicy)
+	pNew, err := parsePolicyFor(s, model, newPolicy)
 	if err != nil {
 		return nil, err
 	}
-	res, err := verify.New(w.schema, nil).CheckStrictness(model, pOld, pNew)
+	res, err := verify.New(s, nil).CheckStrictness(model, pOld, pNew)
 	if err != nil {
 		return nil, err
 	}
@@ -492,75 +495,15 @@ func (w *Workspace) MigrateNamedOpts(name, src string, opts Options) (bool, erro
 		return false, nil
 	}
 	w.fillObsDefaults(&opts)
-	if opts.Online {
-		w.wireOnline(&opts)
-	}
-	after, applied, err := migrate.Apply(w.db, w.schema, name, src, opts)
+	applied, err := migrate.Apply(w.conn, name, src, opts)
 	if err != nil {
 		return false, err
-	}
-	w.schema = after
-	w.conn.SetSchema(after)
-	if applied {
-		// Journal replays (applied == false) only advance the in-memory
-		// schema: the durable $spec already reflects a state at or past this
-		// migration. Rewriting it with the intermediate spec would log a new
-		// $spec record on every replayed step, so a recovered workspace's
-		// log would differ from one that never crashed.
-		persistSpec(w.db, w.SpecText())
 	}
 	if w.journaled == nil {
 		w.journaled = map[string]bool{}
 	}
 	w.journaled[name] = true
 	return applied, nil
-}
-
-// wireOnline installs the workspace side of an online migration into opts,
-// chaining any hooks the caller supplied (tests use OnBatch to interleave
-// traffic at batch boundaries).
-//
-// OnPlanned is the `$spec` fence: the live schema flips and the
-// post-migration spec is persisted — and therefore replicated — at the
-// START of the dual-read window, not after the backfill completes. Every
-// reader from the first batch on, local or follower, judges documents
-// against the spec the data is converging to; without the fence a follower
-// would enforce the pre-migration spec against mid-migration data for the
-// whole drain (minutes under rate limiting, vs milliseconds stop-the-world).
-// The fence record precedes the first backfill record in the log, so the
-// window is well-defined at every LSN.
-func (w *Workspace) wireOnline(opts *Options) {
-	if opts.Backfill == nil {
-		opts.Backfill = w.backfillMetrics
-	}
-	prevPlanned := opts.OnPlanned
-	opts.OnPlanned = func(after *schema.Schema) error {
-		w.schema = after
-		w.conn.SetSchema(after)
-		persistSpec(w.db, specfmt.Format(after))
-		if err := w.db.DurabilityErr(); err != nil {
-			return err
-		}
-		if prevPlanned != nil {
-			return prevPlanned(after)
-		}
-		return nil
-	}
-	prevBegin := opts.LazyBegin
-	opts.LazyBegin = func(model, field string, compute func(store.Doc) (store.Value, error)) error {
-		w.conn.SetLazyMigration(model, field, compute)
-		if prevBegin != nil {
-			return prevBegin(model, field, compute)
-		}
-		return nil
-	}
-	prevEnd := opts.LazyEnd
-	opts.LazyEnd = func(model, field string) {
-		w.conn.ClearLazyMigration(model)
-		if prevEnd != nil {
-			prevEnd(model, field)
-		}
-	}
 }
 
 // AppliedMigrations lists the journal of named migrations run against this
@@ -604,7 +547,7 @@ func LoadState(in io.Reader) (*Workspace, error) {
 		return nil, err
 	}
 	w.db = db
-	w.conn = orm.Open(w.schema, db)
+	w.conn = orm.Open(w.conn.Schema(), db)
 	w.conn.SetMetrics(w.ormMetrics)
 	return w, nil
 }
