@@ -548,7 +548,7 @@ func mustSchema(b *testing.B, spec string) *schema.Schema {
 // compiled-policy speedup.
 func benchStripDecisions(b *testing.B, compiled bool) {
 	fx := newChitterFixture(b, 64, 0)
-	table := policyc.For(fx.schema)
+	table := policyc.Compile(fx.schema)
 	ev := eval.New(fx.schema, fx.db)
 	m := fx.schema.Model("User")
 	mp := table.Model("User")

@@ -232,7 +232,7 @@ func (ev *Evaluator) evalBinary(e *env, n *ast.Binary) (any, error) {
 			return lv - r.(float64), nil
 		}
 	default:
-		c, ok := compareNumeric(l, r)
+		c, ok := store.CompareNumeric(l, r)
 		if !ok {
 			return nil, fmt.Errorf("eval: cannot compare %T and %T", l, r)
 		}
@@ -261,33 +261,8 @@ func valuesEqual(a, b store.Value) bool {
 		}
 		return !oa.Present || valuesEqual(oa.Value, ob.Value)
 	}
-	if c, ok := compareNumeric(a, b); ok {
+	if c, ok := store.CompareNumeric(a, b); ok {
 		return c == 0
 	}
 	return a == b
-}
-
-func compareNumeric(a, b any) (int, bool) {
-	af, aok := asFloat(a)
-	bf, bok := asFloat(b)
-	if !aok || !bok {
-		return 0, false
-	}
-	switch {
-	case af < bf:
-		return -1, true
-	case af > bf:
-		return 1, true
-	}
-	return 0, true
-}
-
-func asFloat(v any) (float64, bool) {
-	switch x := v.(type) {
-	case int64:
-		return float64(x), true
-	case float64:
-		return x, true
-	}
-	return 0, false
 }

@@ -80,12 +80,11 @@ type Conn struct {
 // (e.g. a replication follower).
 var ErrReadOnly = fmt.Errorf("orm: connection is read-only (replica)")
 
-// Open binds a schema to a database with enforcement on. Policies are
-// served from the shared compiled table for s (compiled once per schema,
-// reused across connections).
+// Open binds a schema to a database with enforcement on. The connection
+// compiles s into its own policy table, which lives and dies with it.
 func Open(s *schema.Schema, db *store.DB) *Conn {
 	c := &Conn{DB: db, enforcement: true}
-	c.state.Store(&connState{schema: s, ev: eval.New(s, db), policies: policyc.For(s)})
+	c.state.Store(&connState{schema: s, ev: eval.New(s, db), policies: policyc.Compile(s)})
 	return c
 }
 
@@ -119,11 +118,11 @@ func (c *Conn) SetCompiledPolicies(on bool) { c.interpret = !on }
 // silent wrong answer. Meant for tests and fuzzing, not production.
 func (c *Conn) SetInterpretedOracle(on bool) { c.oracle = on }
 
-// SetSchema swaps the schema after a migration. A fresh evaluator and the
-// shared compiled policy table for s are installed in one atomic swap, so
+// SetSchema swaps the schema after a migration. A fresh evaluator and a
+// policy table compiled from s are installed in one atomic swap, so
 // operations racing the migration see either the old epoch or the new one,
-// never a mixture. An unchanged schema (common when toggling read-only or
-// re-binding connections) is a no-op.
+// never a mixture; the old table is freed with the old state. An
+// unchanged schema pointer is a no-op and keeps the current table.
 func (c *Conn) SetSchema(s *schema.Schema) {
 	c.stateMu.Lock()
 	defer c.stateMu.Unlock()
@@ -131,7 +130,7 @@ func (c *Conn) SetSchema(s *schema.Schema) {
 	if s == old.schema {
 		return
 	}
-	next := &connState{schema: s, ev: eval.New(s, c.DB), policies: policyc.For(s), lazy: old.lazy}
+	next := &connState{schema: s, ev: eval.New(s, c.DB), policies: policyc.Compile(s), lazy: old.lazy}
 	c.state.Store(next)
 	if c.metrics != nil {
 		c.metrics.RecordPolicyTable(next.policies.Counts())

@@ -47,9 +47,11 @@ type fixture struct {
 	admin store.ID
 }
 
-func newFixture(t *testing.T) *fixture {
+// parseSpec returns a freshly parsed and checked schema: every call
+// yields a distinct schema pointer.
+func parseSpec(t *testing.T, src string) *schema.Schema {
 	t.Helper()
-	f, err := parser.ParsePolicyFile(chitterSpec)
+	f, err := parser.ParsePolicyFile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,6 +59,12 @@ func newFixture(t *testing.T) *fixture {
 	if err := typer.New(s).CheckSchema(); err != nil {
 		t.Fatal(err)
 	}
+	return s
+}
+
+func newFixture(t *testing.T) *fixture {
+	t.Helper()
+	s := parseSpec(t, chitterSpec)
 	db := store.Open()
 	users := db.Collection("User")
 	mk := func(name string, admin bool) store.ID {
@@ -295,5 +303,76 @@ func TestSetFieldPolicy(t *testing.T) {
 	// Bob cannot update alice's followers.
 	if err := bob.Update("User", fx.alice, store.Doc{"followers": []store.Value{}}); err == nil {
 		t.Fatal("bob cannot edit alice's followers")
+	}
+}
+
+// TestConnOwnsPolicyTable pins the ownership rule for compiled policies:
+// a connection compiles its own table, keeps it across rebinds to the same
+// schema pointer, and installs a fresh one for a new schema. No table is
+// ever shared between connections, so a closed connection's table (and
+// the database its collection sites cached) is freed with it.
+func TestConnOwnsPolicyTable(t *testing.T) {
+	s := parseSpec(t, chitterSpec)
+	db := store.Open()
+	c := Open(s, db)
+	table := c.state.Load().policies
+	c.SetSchema(s)
+	if c.state.Load().policies != table {
+		t.Fatal("rebinding the same schema recompiled the policy table")
+	}
+	c.SetSchema(parseSpec(t, chitterSpec))
+	if c.state.Load().policies == table {
+		t.Fatal("a new schema kept the old policy table")
+	}
+	if Open(s, db).state.Load().policies == table {
+		t.Fatal("two connections on one schema share a policy table")
+	}
+}
+
+// TestIntegerComparisonsAreExact is the regression for comparing I64
+// values through float64, where 2^53 and 2^53+1 are the same number. The
+// body policy equals [p.author] over the integers, so a non-author must
+// never read it; with a float comparison both tests hold at score = 2^53
+// and the policy turns public. Both engines share store.CompareNumeric.
+func TestIntegerComparisonsAreExact(t *testing.T) {
+	s := parseSpec(t, `
+@principal
+User {
+  create: public,
+  delete: none,
+  name: String { read: public, write: none }}
+
+Post {
+  create: public,
+  delete: none,
+  author: Id(User) { read: public, write: none },
+  score: I64 { read: public, write: public },
+  body: String {
+    read: p -> if p.score >= 9007199254740993 then (if p.score <= 9007199254740992 then public else [p.author]) else [p.author],
+    write: none }}
+`)
+	db := store.Open()
+	author := db.Collection("User").Insert(store.Doc{"name": "author"})
+	reader := db.Collection("User").Insert(store.Doc{"name": "reader"})
+	post := db.Collection("Post").Insert(store.Doc{"author": author, "score": int64(1 << 53), "body": "secret"})
+	for _, compiled := range []bool{true, false} {
+		c := Open(s, db)
+		c.SetCompiledPolicies(compiled)
+		if compiled {
+			if _, fallbacks := c.state.Load().policies.Counts(); fallbacks != 0 {
+				t.Fatalf("%d policies fell back to the interpreter", fallbacks)
+			}
+		}
+		obj, err := c.AsPrinc(user(reader)).FindByID("Post", post)
+		if err != nil || obj == nil {
+			t.Fatalf("compiled=%t: FindByID: %v, %v", compiled, obj, err)
+		}
+		if body, ok := obj.Get("body"); ok {
+			t.Fatalf("compiled=%t: a non-author read body %q at score 2^53", compiled, body)
+		}
+	}
+	// Store filters order integers exactly too.
+	if got := db.Collection("Post").Find(store.Filter{Field: "score", Op: store.FilterGe, Value: int64(1<<53 + 1)}); len(got) != 0 {
+		t.Fatalf("score >= 2^53+1 matched a post scored 2^53: %v", got)
 	}
 }

@@ -213,7 +213,7 @@ func TestDifferentialCompiledVsInterpreter(t *testing.T) {
 		valid++
 		db := store.Open()
 		ids, dangling := seedDocs(g.r, db)
-		table := policyc.For(s)
+		table := policyc.Compile(s)
 		if _, fallbacks := table.Counts(); fallbacks != 0 {
 			t.Fatalf("seed %d: %d interpreter fallbacks on in-fragment spec:\n%s",
 				seed, fallbacks, src)

@@ -90,11 +90,11 @@ type probeEntry struct {
 }
 
 // collSite is a one-entry inline cache resolving one compiled closure's
-// collection reference. Policies outlive any single database (the same
-// Table serves every connection), so the site caches the (db, collection)
-// pair it saw last and revalidates with two pointer compares plus a
-// dropped check; only a database switch or a dropped collection falls back
-// to the locked DB.Collection lookup.
+// collection reference. The site caches the (db, collection) pair it saw
+// last and revalidates with two pointer compares plus a dropped check;
+// only a database switch or a dropped collection falls back to the locked
+// DB.Collection lookup. The cached pair keeps its database reachable for
+// as long as the Table lives (see Table).
 type collSite struct {
 	model string
 	cache atomic.Pointer[collEntry]

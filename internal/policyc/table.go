@@ -133,18 +133,15 @@ func (mp *ModelPolicies) FieldAt(i int) *FieldPolicies { return mp.fields[i] }
 // Field returns the named field's policies, or nil.
 func (mp *ModelPolicies) Field(name string) *FieldPolicies { return mp.byName[name] }
 
-// Table holds the compiled policies of one schema. A Table is bound to the
-// schema, not to a database — the same Table serves every connection over
-// any store, so spec swaps rebind rather than recompile (see For).
+// Table holds the compiled policies of one schema. Each orm.Conn compiles
+// and owns its own Table: a table's collection sites cache the database
+// they last probed, so a table shared beyond its connection would keep
+// that database reachable after the connection is gone.
 type Table struct {
-	schema    *schema.Schema
 	models    map[string]*ModelPolicies
 	compiled  int
 	fallbacks int
 }
-
-// Schema returns the schema the table was compiled from.
-func (t *Table) Schema() *schema.Schema { return t.schema }
 
 // Counts reports how many policies compiled to closures (including the
 // trivial public/none forms) and how many fell back to the interpreter.
@@ -157,7 +154,7 @@ func (t *Table) Model(name string) *ModelPolicies { return t.models[name] }
 // compiler cannot handle are marked for interpreter fallback — Compile
 // never fails.
 func Compile(s *schema.Schema) *Table {
-	t := &Table{schema: s, models: make(map[string]*ModelPolicies, len(s.Models))}
+	t := &Table{models: make(map[string]*ModelPolicies, len(s.Models))}
 	c := &compiler{schema: s}
 	for _, m := range s.Models {
 		mp := &ModelPolicies{
@@ -215,39 +212,4 @@ func (t *Table) compilePolicy(c *compiler, model string, pol ast.Policy) *Policy
 	p.fn = body
 	t.compiled++
 	return p
-}
-
-// tableCacheCap bounds the shared table cache. Schemas are compared by
-// pointer, so a long-lived process replaying many migrations would
-// otherwise accumulate one table per historical schema.
-const tableCacheCap = 16
-
-var tableCache struct {
-	sync.Mutex
-	m     map[*schema.Schema]*Table
-	order []*schema.Schema // FIFO eviction
-}
-
-// For returns the compiled table for s, compiling on first use. Tables are
-// cached by schema pointer (schemas are immutable once published), so
-// connection swaps and read-only rebinds that keep the same schema reuse
-// the existing closures instead of recompiling.
-func For(s *schema.Schema) *Table {
-	tableCache.Lock()
-	defer tableCache.Unlock()
-	if t, ok := tableCache.m[s]; ok {
-		return t
-	}
-	t := Compile(s)
-	if tableCache.m == nil {
-		tableCache.m = map[*schema.Schema]*Table{}
-	}
-	tableCache.m[s] = t
-	tableCache.order = append(tableCache.order, s)
-	if len(tableCache.order) > tableCacheCap {
-		old := tableCache.order[0]
-		tableCache.order = tableCache.order[1:]
-		delete(tableCache.m, old)
-	}
-	return t
 }

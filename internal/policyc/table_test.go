@@ -49,28 +49,6 @@ func TestCompileCoversChitterFragment(t *testing.T) {
 	}
 }
 
-// TestForCachesPerSchema is the spec-swap satellite: repeated For calls on
-// the same schema pointer must return the same table, so connection
-// rebinds (SetSchema, replication appliers) never recompile.
-func TestForCachesPerSchema(t *testing.T) {
-	s, err := loadSpec(chitterSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1 := policyc.For(s)
-	t2 := policyc.For(s)
-	if t1 != t2 {
-		t.Fatal("For compiled the same schema twice")
-	}
-	s2, err := loadSpec(chitterSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if policyc.For(s2) == t1 {
-		t.Fatal("distinct schemas shared a table")
-	}
-}
-
 // TestTableConcurrentEval exercises one shared table from many goroutines;
 // under -race this proves per-decision state never escapes the rt frame.
 func TestTableConcurrentEval(t *testing.T) {
@@ -82,7 +60,7 @@ func TestTableConcurrentEval(t *testing.T) {
 	users := db.Collection("User")
 	a := users.Insert(store.Doc{"name": "a", "level": int64(1), "score": 0.5, "isAdmin": false, "followers": []store.Value{}})
 	b := users.Insert(store.Doc{"name": "b", "level": int64(2), "score": 1.5, "isAdmin": true, "followers": []store.Value{a}})
-	table := policyc.For(s)
+	table := policyc.Compile(s)
 	pols := specPolicies(s, table)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {

@@ -6,6 +6,7 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -627,7 +628,7 @@ func match(d Doc, f Filter) bool {
 		}
 		return false
 	default:
-		c, ok := compareValues(v, f.Value)
+		c, ok := CompareNumeric(v, f.Value)
 		if !ok {
 			return false
 		}
@@ -656,7 +657,7 @@ func valueEq(a, b Value) bool {
 		}
 		return !oa.Present || valueEq(oa.Value, ob.Value)
 	}
-	if c, ok := compareValues(a, b); ok {
+	if c, ok := CompareNumeric(a, b); ok {
 		return c == 0
 	}
 	switch x := a.(type) {
@@ -673,8 +674,17 @@ func valueEq(a, b Value) bool {
 	return false
 }
 
-// compareValues orders two numeric values; ok is false for non-numerics.
-func compareValues(a, b Value) (int, bool) {
+// CompareNumeric three-way-compares two numeric values, reporting
+// ok=false when either is not numeric. Two integers compare exactly; a
+// float on either side takes both through float64. It is the one numeric
+// order of the runtime: store filters, the policy interpreter and the
+// compiled policies all decide comparisons and equality with it.
+func CompareNumeric(a, b Value) (int, bool) {
+	if x, ok := toInt(a); ok {
+		if y, ok := toInt(b); ok {
+			return cmp.Compare(x, y), true
+		}
+	}
 	af, aok := toFloat(a)
 	bf, bok := toFloat(b)
 	if !aok || !bok {
@@ -690,16 +700,22 @@ func compareValues(a, b Value) (int, bool) {
 	}
 }
 
-func toFloat(v Value) (float64, bool) {
+func toInt(v Value) (int64, bool) {
 	switch x := v.(type) {
 	case int64:
-		return float64(x), true
-	case float64:
 		return x, true
 	case int:
-		return float64(x), true
+		return int64(x), true
 	}
 	return 0, false
+}
+
+func toFloat(v Value) (float64, bool) {
+	if x, ok := v.(float64); ok {
+		return x, true
+	}
+	i, ok := toInt(v)
+	return float64(i), ok
 }
 
 // Match reports whether a single document satisfies the filter; exported

@@ -16,10 +16,7 @@
 package scooter
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 
@@ -510,44 +507,4 @@ func (w *Workspace) MigrateNamedOpts(name, src string, opts Options) (bool, erro
 // workspace's database.
 func (w *Workspace) AppliedMigrations() []migrate.JournalEntry {
 	return migrate.NewJournal(w.db).Entries()
-}
-
-// workspaceState is the serialised form of a workspace: the authoritative
-// specification plus a binary database snapshot (base64 in the JSON).
-type workspaceState struct {
-	Spec string `json:"spec"`
-	DB   []byte `json:"db"`
-}
-
-// SaveState serialises the workspace — specification and database — so a
-// process can stop and later resume exactly where it left off (including
-// the migration journal, which lives in the database).
-func (w *Workspace) SaveState(out io.Writer) error {
-	var db bytes.Buffer
-	if err := w.db.Snapshot(&db); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(workspaceState{Spec: w.SpecText(), DB: db.Bytes()})
-}
-
-// LoadState restores a workspace saved with SaveState.
-func LoadState(in io.Reader) (*Workspace, error) {
-	var state workspaceState
-	if err := json.NewDecoder(in).Decode(&state); err != nil {
-		return nil, fmt.Errorf("scooter: corrupt workspace state: %w", err)
-	}
-	w, err := LoadSpec(state.Spec)
-	if err != nil {
-		return nil, err
-	}
-	db, err := store.Restore(bytes.NewReader(state.DB))
-	if err != nil {
-		return nil, err
-	}
-	w.db = db
-	w.conn = orm.Open(w.conn.Schema(), db)
-	w.conn.SetMetrics(w.ormMetrics)
-	return w, nil
 }

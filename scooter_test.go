@@ -12,11 +12,8 @@ import (
 	"scooter/internal/verify"
 )
 
-// bootstrapChitter builds the Chitter workspace used across facade tests.
-func bootstrapChitter(t testing.TB) *scooter.Workspace {
-	t.Helper()
-	w := scooter.NewWorkspace()
-	err := w.Migrate(`
+// chitterScript bootstraps the Chitter spec used across facade tests.
+const chitterScript = `
 AddStaticPrincipal(Unauthenticated);
 CreateModel(@principal User {
   create: _ -> [Unauthenticated],
@@ -41,8 +38,13 @@ CreateModel(Peep {
   author: Id(User) { read: public, write: none },
   body: String { read: public, write: p -> [p.author] },
 });
-`)
-	if err != nil {
+`
+
+// bootstrapChitter builds the Chitter workspace used across facade tests.
+func bootstrapChitter(t testing.TB) *scooter.Workspace {
+	t.Helper()
+	w := scooter.NewWorkspace()
+	if err := w.Migrate(chitterScript); err != nil {
 		t.Fatal(err)
 	}
 	return w
@@ -242,8 +244,22 @@ User::AddField(copy: String { read: public, write: u -> [u] }, u -> u.bio);
 	}
 }
 
-func TestSaveLoadState(t *testing.T) {
-	w := bootstrapChitter(t)
+// TestDurableCloseReopen checks that a durable workspace resumes where it
+// left off: after a close and a reopen of the same directory, replaying the
+// migration history restores the spec text, and documents, the journal and
+// policy enforcement all survive.
+func TestDurableCloseReopen(t *testing.T) {
+	const bio = `
+User::AddField(bio: String { read: public, write: u -> [u] }, u -> "I'm " + u.name);
+`
+	dir := t.TempDir()
+	w, err := scooter.OpenDurable(dir, scooter.DurabilityOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.MigrateNamed("001_chitter", chitterScript); err != nil {
+		t.Fatal(err)
+	}
 	anon := w.AsPrinc(scooter.Static("Unauthenticated"))
 	aliceID, err := anon.Insert("User", scooter.Doc{
 		"name": "alice", "email": "a@x", "pronouns": "she/her",
@@ -252,46 +268,45 @@ func TestSaveLoadState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.MigrateNamed("002_bio", `
-User::AddField(bio: String { read: public, write: u -> [u] }, u -> "I'm " + u.name);
-`); err != nil {
+	if _, err := w.MigrateNamed("002_bio", bio); err != nil {
+		t.Fatal(err)
+	}
+	spec := w.SpecText()
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	if err := w.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := scooter.LoadState(&buf)
+	w2, err := scooter.OpenDurable(dir, scooter.DurabilityOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Data, schema, and journal all survive.
+	defer w2.Close()
+	// Replaying the applied history is a no-op that restores the spec.
+	for _, m := range []struct{ name, src string }{{"001_chitter", chitterScript}, {"002_bio", bio}} {
+		applied, err := w2.MigrateNamed(m.name, m.src)
+		if err != nil || applied {
+			t.Fatalf("replaying %s after reopen: applied=%v err=%v", m.name, applied, err)
+		}
+	}
+	if got := w2.SpecText(); got != spec {
+		t.Fatalf("spec after reopen:\n%s\nwant:\n%s", got, spec)
+	}
+	if got := w2.AppliedMigrations(); len(got) != 2 || got[0].Name != "001_chitter" || got[1].Name != "002_bio" {
+		t.Fatalf("journal after reopen: %+v", got)
+	}
 	obj, err := w2.AsPrinc(scooter.Instance("User", aliceID)).FindByID("User", aliceID)
 	if err != nil || obj == nil {
-		t.Fatalf("restore lookup: %v %v", obj, err)
+		t.Fatalf("lookup after reopen: %v %v", obj, err)
 	}
-	bio, ok := obj.Get("bio")
-	if !ok || bio != "I'm alice" {
-		t.Fatalf("bio after restore: %v (%v)", bio, ok)
+	if got, ok := obj.Get("bio"); !ok || got != "I'm alice" {
+		t.Fatalf("bio after reopen: %v (%v)", got, ok)
 	}
-	if got := w2.AppliedMigrations(); len(got) != 1 || got[0].Name != "002_bio" {
-		t.Fatalf("journal after restore: %+v", got)
-	}
-	// Re-running the applied migration stays a no-op after restore.
-	applied, err := w2.MigrateNamed("002_bio", `
-User::AddField(bio: String { read: public, write: u -> [u] }, u -> "I'm " + u.name);
-`)
-	if err != nil || applied {
-		t.Fatalf("journal idempotence after restore: applied=%v err=%v", applied, err)
-	}
-	// Policies still enforce.
 	other, err := w2.AsPrinc(scooter.Static("Unauthenticated")).FindByID("User", aliceID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := other.Get("email"); ok {
-		t.Fatal("email must stay hidden after restore")
+		t.Fatal("email must stay hidden after reopen")
 	}
 }
 
