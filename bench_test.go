@@ -33,7 +33,6 @@ import (
 	"scooter/internal/obs"
 	"scooter/internal/orm"
 	"scooter/internal/parser"
-	"scooter/internal/policyc"
 	"scooter/internal/schema"
 	"scooter/internal/store"
 	"scooter/internal/typer"
@@ -537,61 +536,15 @@ func mustSchema(b *testing.B, spec string) *schema.Schema {
 	return s
 }
 
-// ---- Policy compilation: compiled closures vs interpreter (§5.4) ----
+// ---- Profile reads through the policy-enforcing ORM (§5.4) ----
 
-// benchStripDecisions is the strip loop's decision batch in isolation: a
-// viewer's read policy is decided for every field of another user's
-// profile (the per-document inner loop of FindByID), with document
-// retrieval hoisted so only policy evaluation is timed. The compiled
-// engine uses the same Frame batching the ORM uses; the interpreter is
-// the eval.Allowed oracle. This is the acceptance microbenchmark for the
-// compiled-policy speedup.
-func benchStripDecisions(b *testing.B, compiled bool) {
-	fx := newChitterFixture(b, 64, 0)
-	table := policyc.Compile(fx.schema)
-	ev := eval.New(fx.schema, fx.db)
-	m := fx.schema.Model("User")
-	mp := table.Model("User")
-	users := fx.db.Collection("User")
-	docs := make([]store.Doc, len(fx.users))
-	for i, id := range fx.users {
-		docs[i], _ = users.Get(id)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// The viewer follows the target (ring neighbour), so follower and
-		// Find policies all run their full membership paths.
-		viewer := eval.InstancePrincipal("User", fx.users[i%len(fx.users)])
-		target := docs[(i+1)%len(docs)]
-		if compiled {
-			f := policyc.NewFrame(ev, viewer)
-			f.SetTarget("User", target)
-			for j := range m.Fields {
-				if _, err := mp.FieldAt(j).Read.EvalIn(f); err != nil {
-					b.Fatal(err)
-				}
-			}
-			f.Release()
-		} else {
-			for _, fd := range m.Fields {
-				if _, err := ev.Allowed(viewer, "User", target, fd.Read); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkPolicyCompiled(b *testing.B)    { benchStripDecisions(b, true) }
-func BenchmarkPolicyInterpreted(b *testing.B) { benchStripDecisions(b, false) }
-
-// benchProfileReads is the same hot path end to end through the ORM
-// (document fetch, strip, object assembly included) — the macro view of
-// the same toggle, reported alongside the microbenchmark.
-func benchProfileReads(b *testing.B, compiled bool) {
+// BenchmarkProfileReads reads another user's profile through the ORM
+// (document fetch, every field's read policy, object assembly). The viewer
+// follows the target (ring neighbour), so follower and Find policies all
+// run their full membership paths.
+func BenchmarkProfileReads(b *testing.B) {
 	fx := newChitterFixture(b, 64, 0)
 	conn := ormOpen(fx)
-	conn.SetCompiledPolicies(compiled)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		viewer := fx.users[i%len(fx.users)]
@@ -605,9 +558,6 @@ func benchProfileReads(b *testing.B, compiled bool) {
 		}
 	}
 }
-
-func BenchmarkPolicyCompiledORM(b *testing.B)    { benchProfileReads(b, true) }
-func BenchmarkPolicyInterpretedORM(b *testing.B) { benchProfileReads(b, false) }
 
 // ---- §5.3 persistent verdict cache: corpus replay cold vs warm ----
 

@@ -201,11 +201,7 @@ User {
 // the only wall-clock-dependent field — is ignored. -trace forces
 // sequential proofs, so event order is part of the contract.
 func TestTraceDeterministic(t *testing.T) {
-	scripts, err := filepath.Glob(filepath.Join("..", "..", "internal", "casestudies", "corpus", "visitday", "*.scm"))
-	if err != nil || len(scripts) == 0 {
-		t.Fatalf("visitday corpus not found: %v", err)
-	}
-	sort.Strings(scripts)
+	scripts := visitdayScripts(t)
 
 	runOnce := func(path string) []map[string]any {
 		t.Helper()
@@ -258,11 +254,7 @@ func TestTraceDeterministic(t *testing.T) {
 // solves; the torn run drops exactly the one damaged record, re-solves it
 // and answers the rest from disk.
 func TestStatsWarmVerdictDB(t *testing.T) {
-	scripts, err := filepath.Glob(filepath.Join("..", "..", "internal", "casestudies", "corpus", "visitday", "*.scm"))
-	if err != nil || len(scripts) == 0 {
-		t.Fatalf("visitday corpus not found: %v", err)
-	}
-	sort.Strings(scripts)
+	scripts := visitdayScripts(t)
 	db := filepath.Join(t.TempDir(), "verdicts.db")
 	runOnce := func() (stdout, stderr string) {
 		t.Helper()
@@ -312,4 +304,104 @@ func TestStatsWarmVerdictDB(t *testing.T) {
 	if !strings.Contains(torn, "verdict-db 1 corrupt") {
 		t.Errorf("torn run: want exactly one corrupt record:\n%s", torn)
 	}
+}
+
+// visitdayScripts returns the Visit Days migration history in order.
+func visitdayScripts(t *testing.T) []string {
+	t.Helper()
+	scripts, err := filepath.Glob(filepath.Join("..", "..", "internal", "casestudies", "corpus", "visitday", "*.scm"))
+	if err != nil || len(scripts) == 0 {
+		t.Fatalf("visitday corpus not found: %v", err)
+	}
+	sort.Strings(scripts)
+	return scripts
+}
+
+// TestStarvedBudgetIsUnknownNotPanic verifies the visitday history with a
+// 1ns per-proof budget: every proof's deadline has passed by its first
+// poll, so on any machine the run degrades to UNKNOWN with an
+// inconclusive reason and exit 3, and never panics. With a sane budget
+// the same history verifies.
+func TestStarvedBudgetIsUnknownNotPanic(t *testing.T) {
+	scripts := visitdayScripts(t)
+	spec := filepath.Join(t.TempDir(), "nonexistent.scp")
+	var out bytes.Buffer
+	code := run(append([]string{"-spec", spec, "-proof-timeout", "1ns"}, scripts...), &out, &out)
+	if code != 3 {
+		t.Fatalf("exit code %d, want 3 (inconclusive)\n%s", code, out.String())
+	}
+	for _, want := range []string{"UNKNOWN", "inconclusive"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Contains(strings.ToLower(out.String()), "panic") {
+		t.Errorf("verifier panicked under a starved budget:\n%s", out.String())
+	}
+
+	out.Reset()
+	if code := run(append([]string{"-spec", spec, "-timeout", "5m"}, scripts...), &out, &out); code != 0 {
+		t.Fatalf("sane budget: exit code %d, want 0\n%s", code, out.String())
+	}
+}
+
+// TestSynthesizedHistoryApplies applies the migrations scooter
+// makemigration synthesizes from testdata/models (the bootstrap of the
+// structdemo corpus, then testdata/synth/01_coupon.scm, which adds a
+// model); cmd/scooter's TestStructsToMigrations checks that synthesis
+// still produces these exact bytes. The synthesized weakening
+// (02_weaken.scm) is refused, by verification and by -apply, and the data
+// directory stays byte-identical.
+func TestSynthesizedHistoryApplies(t *testing.T) {
+	boot := filepath.Join("..", "..", "internal", "casestudies", "corpus", "structdemo", "00_bootstrap.scm")
+	coupon := filepath.Join("..", "..", "testdata", "synth", "01_coupon.scm")
+	weaken := filepath.Join("..", "..", "testdata", "synth", "02_weaken.scm")
+	dir := t.TempDir()
+	data := filepath.Join(dir, "data")
+
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-apply", "-data-dir", data, boot, coupon}, &stdout, &stderr); code != 0 {
+		t.Fatalf("apply: exit code %d\n%s%s", code, stdout.String(), stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "01_coupon.scm: APPLIED") {
+		t.Fatalf("scripts did not apply:\n%s", stdout.String())
+	}
+
+	stdout.Reset()
+	stderr.Reset()
+	spec := filepath.Join(dir, "nonexistent.scp")
+	if code := run([]string{"-spec", spec, boot, weaken}, &stdout, &stderr); code != 1 {
+		t.Fatalf("verifying the weakening: exit code %d, want 1\n%s%s", code, stdout.String(), stderr.String())
+	}
+
+	before := readDir(t, data)
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"-apply", "-data-dir", data, boot, coupon, weaken}, &stdout, &stderr); code != 1 {
+		t.Fatalf("applying the weakening: exit code %d, want 1\n%s%s", code, stdout.String(), stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "02_weaken.scm: UNSAFE") {
+		t.Fatalf("weakening not reported UNSAFE:\n%s", stdout.String())
+	}
+	if after := readDir(t, data); !reflect.DeepEqual(after, before) {
+		t.Fatal("a refused weakening changed the data directory")
+	}
+}
+
+// readDir returns every file of dir by name.
+func readDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
+	}
+	return files
 }

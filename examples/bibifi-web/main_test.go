@@ -111,9 +111,9 @@ func TestServesAndRecovers(t *testing.T) {
 }
 
 // checkMetrics scrapes the metrics listener named in banner and requires
-// real work from every layer: policy checks and compiled policies from the
-// request path, fsyncs from the write-ahead log, and verdict-cache hits
-// from the boot migrations' duplicate strictness proofs.
+// real work from every layer: policy checks from the request path, fsyncs
+// from the write-ahead log, and verdict-cache hits from the boot
+// migrations' duplicate strictness proofs.
 func checkMetrics(t *testing.T, banner string, get func(addr, path string) string) {
 	t.Helper()
 	const prefix = "metrics on http://"
@@ -125,7 +125,6 @@ func checkMetrics(t *testing.T, banner string, get func(addr, path string) strin
 	scrape := get(addr, "/metrics")
 	for _, name := range []string{
 		"scooter_orm_reads_checked_total",
-		"scooter_orm_policies_compiled_total",
 		"scooter_wal_fsyncs_total",
 		"scooter_verify_cache_hits_total",
 	} {

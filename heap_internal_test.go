@@ -9,12 +9,12 @@ import (
 )
 
 // TestClosedWorkspaceIsCollected is the regression for a closed
-// workspace's database staying reachable from process-global state. A
-// compiled policy's Find probe caches the database it last probed, so a
-// policy table that outlives its connection pins every document. The
-// sentinel is a pointer-free 1 MiB buffer stored as a Blob; a finalizer
-// on the buffer (a leaf, unlike the store's cyclic DB/Collection graph)
-// reports its collection.
+// workspace's database staying reachable from process-global state: any
+// policy-evaluation state that outlives its connection and caches the
+// database it last read pins every document. The sentinel is a
+// pointer-free 1 MiB buffer stored as a Blob; a finalizer on the buffer
+// (a leaf, unlike the store's cyclic DB/Collection graph) reports its
+// collection.
 func TestClosedWorkspaceIsCollected(t *testing.T) {
 	var collected atomic.Bool
 	func() {

@@ -199,6 +199,8 @@ func Check(before *schema.Schema, a, b Side, opts Options) (*Report, error) {
 	if res, ok := verify.LookupVerdict(opts.Cache, opts.VerdictDB, nil, key); ok {
 		return reportFromResult(&res, bound), nil
 	}
+	var stored *verify.Result
+	defer func() { verify.StoreVerdict(opts.Cache, opts.VerdictDB, key, stored) }()
 
 	rep, err := check(before, a, b, bound, maxU, rounds, opts)
 	if err != nil {
@@ -208,7 +210,8 @@ func Check(before *schema.Schema, a, b Side, opts Options) (*Report, error) {
 	if rep.Verdict != Inconclusive {
 		// Inconclusive is never cached — which budget ran out depends on
 		// the run, matching the strictness-verdict cache rule.
-		verify.StoreVerdict(opts.Cache, opts.VerdictDB, key, resultFromReport(rep))
+		res := resultFromReport(rep)
+		stored = &res
 	}
 	return rep, nil
 }

@@ -97,7 +97,9 @@ func (ev *Evaluator) Allowed(p Principal, model string, doc store.Doc, pol ast.P
 }
 
 // EvalInit evaluates an AddField initialiser for one document, returning
-// the new field's value.
+// the new field's value. A NaN result (say p.score - p.score on a stored
+// +Inf) is an error: a NaN compares equal to every number, so storing it
+// would turn comparisons in policies into always-true tests.
 func (ev *Evaluator) EvalInit(model string, doc store.Doc, init *ast.FuncLit) (store.Value, error) {
 	var e *env
 	if init.Param != "_" {
@@ -107,7 +109,11 @@ func (ev *Evaluator) EvalInit(model string, doc store.Doc, init *ast.FuncLit) (s
 	if err != nil {
 		return nil, err
 	}
-	return toStoreValue(v), nil
+	sv := toStoreValue(v)
+	if store.HasNaN(sv) {
+		return nil, fmt.Errorf("eval: initialiser of %s(%v) yields NaN", model, doc.ID())
+	}
+	return sv, nil
 }
 
 // contains checks p ∈ e for a set-typed policy expression.

@@ -1,9 +1,13 @@
 package migrate
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"scooter/internal/ast"
+	"scooter/internal/eval"
+	"scooter/internal/orm"
 	"scooter/internal/parser"
 	"scooter/internal/store"
 )
@@ -189,5 +193,40 @@ User::AddField(nickname : Option(String) {
 	opt, ok := doc["nickname"].(store.Optional)
 	if !ok || opt.Present {
 		t.Fatalf("nickname = %#v", doc["nickname"])
+	}
+}
+
+// TestAddFieldRefusesNaNInitialiser: the ORM stores +Inf, and p.score -
+// p.score on it is NaN, which compares equal to every number. Both
+// executors must refuse the initialiser's result and store no NaN.
+func TestAddFieldRefusesNaNInitialiser(t *testing.T) {
+	s := loadSchema(t, `
+Post {
+  create: public,
+  delete: none,
+  score: F64 { read: public, write: public }}
+`)
+	const script = `Post::AddField(d: F64 { read: public, write: public }, p -> p.score - p.score);`
+	for name, online := range map[string]bool{"stop-the-world": false, "online": true} {
+		t.Run(name, func(t *testing.T) {
+			db := store.Open()
+			conn := orm.Open(s, db)
+			pr := conn.AsPrinc(eval.StaticPrincipal("anyone"))
+			for _, score := range []float64{1, math.Inf(1)} {
+				if _, err := pr.Insert("Post", store.Doc{"score": score}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			opts := DefaultOptions()
+			opts.Online = online
+			if _, err := Apply(conn, "001_d", script, opts); err == nil || !strings.Contains(err.Error(), "NaN") {
+				t.Fatalf("Apply = %v, want a NaN error", err)
+			}
+			for _, doc := range db.Collection("Post").Find() {
+				if v, ok := doc["d"]; ok && v.(float64) != v.(float64) {
+					t.Fatalf("%v stored a NaN", doc.ID())
+				}
+			}
+		})
 	}
 }

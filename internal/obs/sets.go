@@ -231,11 +231,6 @@ type ORMMetrics struct {
 	// persisted ahead of a write touching a not-yet-backfilled document.
 	LazyReads  *Counter
 	LazyWrites *Counter
-	// PoliciesCompiled / PoliciesInterpreted count the policies of each
-	// policy table attached to a connection, split by whether the partial
-	// evaluator produced a closure or fell back to the interpreter.
-	PoliciesCompiled    *Counter
-	PoliciesInterpreted *Counter
 }
 
 // NewORMMetrics registers the scooter_orm_* family in reg.
@@ -249,10 +244,6 @@ func NewORMMetrics(reg *Registry) *ORMMetrics {
 			"Reads that computed a pending migration field on access (dual-read window)."),
 		LazyWrites: reg.Counter("scooter_orm_lazy_writes_total",
 			"Writes that persisted a pending migration field ahead of the backfill sweep."),
-		PoliciesCompiled: reg.Counter("scooter_orm_policies_compiled_total",
-			"Policies compiled to closures in tables attached to connections."),
-		PoliciesInterpreted: reg.Counter("scooter_orm_policies_interpreted_total",
-			"Policies left to the AST interpreter in tables attached to connections."),
 	}
 }
 
@@ -270,16 +261,6 @@ func (m *ORMMetrics) RecordLazyWrite() {
 		return
 	}
 	m.LazyWrites.Inc()
-}
-
-// RecordPolicyTable counts one policy table's compiled/fallback
-// composition as it is attached to a connection. Nil-safe.
-func (m *ORMMetrics) RecordPolicyTable(compiled, fallbacks int) {
-	if m == nil {
-		return
-	}
-	m.PoliciesCompiled.Add(int64(compiled))
-	m.PoliciesInterpreted.Add(int64(fallbacks))
 }
 
 // RecordReadCheck counts one field read-policy evaluation; stripped says

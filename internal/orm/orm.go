@@ -14,7 +14,6 @@ import (
 	"scooter/internal/ast"
 	"scooter/internal/eval"
 	"scooter/internal/obs"
-	"scooter/internal/policyc"
 	"scooter/internal/schema"
 	"scooter/internal/store"
 )
@@ -23,16 +22,15 @@ import (
 type Principal = eval.Principal
 
 // connState bundles everything an operation derives from the bound schema:
-// the schema itself, its evaluator, its compiled policy table, and the
-// in-flight lazy-migration windows. Operations load it once through an
-// atomic pointer and use that one consistent view throughout — an online
-// migration can swap the whole bundle mid-traffic (SetSchema, then
-// SetLazyMigration per backfill) without a foreground reader ever seeing a
-// schema from one epoch paired with policies from another.
+// the schema itself, its evaluator, and the in-flight lazy-migration
+// windows. Operations load it once through an atomic pointer and use that
+// one consistent view throughout — an online migration can swap the whole
+// bundle mid-traffic (SetSchema, then SetLazyMigration per backfill)
+// without a foreground reader ever seeing a schema from one epoch paired
+// with an evaluator from another.
 type connState struct {
-	schema   *schema.Schema
-	ev       *eval.Evaluator
-	policies *policyc.Table
+	schema *schema.Schema
+	ev     *eval.Evaluator
 	// lazy maps a model name to its in-flight online backfill, if any. At
 	// most one per model: Apply runs commands sequentially and closes each
 	// window before the next opens.
@@ -60,13 +58,6 @@ type Conn struct {
 	// ORM "in debug mode also allows developers to temporarily turn off
 	// enforcement", e.g. for application-level migrations).
 	enforcement bool
-	// interpret forces every check through the AST interpreter (compiled
-	// dispatch is the default; SetCompiledPolicies(false) opts out).
-	interpret bool
-	// oracle runs each compiled check through the interpreter too and
-	// fails loudly on divergence (differential testing; see
-	// SetInterpretedOracle).
-	oracle bool
 	// readOnly rejects every write before its policy is even evaluated.
 	// Replication followers set it: their store mirrors the primary's log,
 	// so a local write would diverge from the replicated history.
@@ -80,11 +71,10 @@ type Conn struct {
 // (e.g. a replication follower).
 var ErrReadOnly = fmt.Errorf("orm: connection is read-only (replica)")
 
-// Open binds a schema to a database with enforcement on. The connection
-// compiles s into its own policy table, which lives and dies with it.
+// Open binds a schema to a database with enforcement on.
 func Open(s *schema.Schema, db *store.DB) *Conn {
 	c := &Conn{DB: db, enforcement: true}
-	c.state.Store(&connState{schema: s, ev: eval.New(s, db), policies: policyc.Compile(s)})
+	c.state.Store(&connState{schema: s, ev: eval.New(s, db)})
 	return c
 }
 
@@ -98,31 +88,13 @@ func (c *Conn) SetEnforcement(on bool) { c.enforcement = on }
 // fail with ErrReadOnly. Read policies are still enforced in full.
 func (c *Conn) SetReadOnly(on bool) { c.readOnly = on }
 
-// SetMetrics attaches policy-boundary metrics to the connection and
-// records the current policy table's compiled/fallback composition.
-func (c *Conn) SetMetrics(m *obs.ORMMetrics) {
-	c.metrics = m
-	if st := c.state.Load(); st.policies != nil {
-		m.RecordPolicyTable(st.policies.Counts())
-	}
-}
+// SetMetrics attaches policy-boundary metrics to the connection.
+func (c *Conn) SetMetrics(m *obs.ORMMetrics) { c.metrics = m }
 
-// SetCompiledPolicies toggles compiled-policy dispatch (on by default).
-// Off routes every check through the AST interpreter; exposed for
-// benchmarks and as an escape hatch.
-func (c *Conn) SetCompiledPolicies(on bool) { c.interpret = !on }
-
-// SetInterpretedOracle enables differential checking: every compiled
-// policy decision is replayed through the interpreter and a mismatch in
-// verdict or error presence surfaces as an evaluation error instead of a
-// silent wrong answer. Meant for tests and fuzzing, not production.
-func (c *Conn) SetInterpretedOracle(on bool) { c.oracle = on }
-
-// SetSchema swaps the schema after a migration. A fresh evaluator and a
-// policy table compiled from s are installed in one atomic swap, so
-// operations racing the migration see either the old epoch or the new one,
-// never a mixture; the old table is freed with the old state. An
-// unchanged schema pointer is a no-op and keeps the current table.
+// SetSchema swaps the schema after a migration. A fresh evaluator for s is
+// installed in one atomic swap, so operations racing the migration see
+// either the old epoch or the new one, never a mixture. An unchanged
+// schema pointer is a no-op.
 func (c *Conn) SetSchema(s *schema.Schema) {
 	c.stateMu.Lock()
 	defer c.stateMu.Unlock()
@@ -130,11 +102,7 @@ func (c *Conn) SetSchema(s *schema.Schema) {
 	if s == old.schema {
 		return
 	}
-	next := &connState{schema: s, ev: eval.New(s, c.DB), policies: policyc.Compile(s), lazy: old.lazy}
-	c.state.Store(next)
-	if c.metrics != nil {
-		c.metrics.RecordPolicyTable(next.policies.Counts())
-	}
+	c.state.Store(&connState{schema: s, ev: eval.New(s, c.DB), lazy: old.lazy})
 }
 
 // SetLazyMigration opens a dual-read window for one field an online
@@ -152,7 +120,7 @@ func (c *Conn) SetLazyMigration(model, field string, compute func(store.Doc) (st
 		lazy[k] = v
 	}
 	lazy[model] = lazyField{field: field, compute: compute}
-	c.state.Store(&connState{schema: old.schema, ev: old.ev, policies: old.policies, lazy: lazy})
+	c.state.Store(&connState{schema: old.schema, ev: old.ev, lazy: lazy})
 }
 
 // ClearLazyMigration closes the model's dual-read window (the sweep has
@@ -170,7 +138,7 @@ func (c *Conn) ClearLazyMigration(model string) {
 			lazy[k] = v
 		}
 	}
-	c.state.Store(&connState{schema: old.schema, ev: old.ev, policies: old.policies, lazy: lazy})
+	c.state.Store(&connState{schema: old.schema, ev: old.ev, lazy: lazy})
 }
 
 // augment lazily migrates a document that predates the in-flight
@@ -198,46 +166,6 @@ func (st *connState) augment(model string, doc store.Doc) (store.Doc, bool, erro
 	}
 	out[lf.field] = v
 	return out, true, nil
-}
-
-// allowed dispatches one policy decision: the compiled closure when
-// available, the interpreter otherwise (or when compiled dispatch is
-// disabled). In oracle mode both engines run and must agree.
-func (c *Conn) allowed(st *connState, cp *policyc.Policy, p Principal, model string, doc store.Doc, pol ast.Policy) (bool, error) {
-	if c.interpret || cp == nil || !cp.Compiled() {
-		return st.ev.Allowed(p, model, doc, pol)
-	}
-	ok, err := cp.Eval(st.ev, p, doc)
-	if c.oracle {
-		return c.oracleCheck(st, ok, err, p, model, doc, pol)
-	}
-	return ok, err
-}
-
-// allowedIn is allowed with a prepared evaluation frame: the strip loop
-// binds principal and document once, then every field policy of the batch
-// skips frame setup. A nil frame falls back to the general path.
-func (c *Conn) allowedIn(st *connState, f *policyc.Frame, cp *policyc.Policy, p Principal, model string, doc store.Doc, pol ast.Policy) (bool, error) {
-	if f == nil || cp == nil || !cp.Compiled() {
-		return c.allowed(st, cp, p, model, doc, pol)
-	}
-	ok, err := cp.EvalIn(f)
-	if c.oracle {
-		return c.oracleCheck(st, ok, err, p, model, doc, pol)
-	}
-	return ok, err
-}
-
-// oracleCheck re-runs a compiled decision through the interpreter and
-// fails loudly on divergence (SetInterpretedOracle).
-func (c *Conn) oracleCheck(st *connState, ok bool, err error, p Principal, model string, doc store.Doc, pol ast.Policy) (bool, error) {
-	iok, ierr := st.ev.Allowed(p, model, doc, pol)
-	if ok != iok || (err == nil) != (ierr == nil) {
-		return false, fmt.Errorf(
-			"orm: compiled/interpreted divergence on %s policy for %s: compiled (%t, %v) vs interpreted (%t, %v)",
-			model, p, ok, err, iok, ierr)
-	}
-	return ok, err
 }
 
 // AsPrinc returns a handle performing operations on behalf of p.
@@ -416,23 +344,12 @@ func (pr *Princ) strip(st *connState, m *schema.Model, doc store.Doc) (*Object, 
 		}
 		return obj, nil
 	}
-	mp := st.policies.Model(m.Name)
-	var frame *policyc.Frame
-	if !pr.conn.interpret && mp != nil {
-		frame = policyc.NewFrame(st.ev, pr.p)
-		frame.SetTarget(m.Name, doc)
-		defer frame.Release()
-	}
 	for i, f := range m.Fields {
 		v, present := doc[f.Name]
 		if !present {
 			continue
 		}
-		var cp *policyc.Policy
-		if mp != nil {
-			cp = mp.FieldAt(i).Read
-		}
-		ok, err := pr.conn.allowedIn(st, frame, cp, pr.p, m.Name, doc, f.Read)
+		ok, err := st.ev.Allowed(pr.p, m.Name, doc, f.Read)
 		if err != nil {
 			return nil, fmt.Errorf("orm: evaluating %s.%s read policy: %w", m.Name, f.Name, err)
 		}
@@ -480,13 +397,12 @@ func (pr *Princ) Insert(model string, fields store.Doc) (store.ID, error) {
 			return store.Nil, fmt.Errorf("orm: missing field %s.%s on insert", model, f.Name)
 		}
 	}
+	if err := refuseNaN(model, fields); err != nil {
+		return store.Nil, err
+	}
 	if pr.conn.enforcement {
 		// The create policy is evaluated on the candidate document.
-		var cp *policyc.Policy
-		if mp := st.policies.Model(model); mp != nil {
-			cp = mp.Create
-		}
-		ok, err := pr.conn.allowed(st, cp, pr.p, model, fields, m.Create)
+		ok, err := st.ev.Allowed(pr.p, model, fields, m.Create)
 		if err != nil {
 			return store.Nil, err
 		}
@@ -522,6 +438,9 @@ func (pr *Princ) Update(model string, id store.ID, fields store.Doc) error {
 	if m == nil {
 		return fmt.Errorf("orm: unknown model %s", model)
 	}
+	if err := refuseNaN(model, fields); err != nil {
+		return err
+	}
 	doc, ok := pr.conn.DB.Collection(model).Get(id)
 	if !ok {
 		return fmt.Errorf("orm: no %s with id %v", model, id)
@@ -532,19 +451,12 @@ func (pr *Princ) Update(model string, id store.ID, fields store.Doc) error {
 		return err
 	}
 	if pr.conn.enforcement {
-		mp := st.policies.Model(model)
 		for name := range fields {
 			f := m.Field(name)
 			if f == nil {
 				return fmt.Errorf("orm: unknown field %s.%s", model, name)
 			}
-			var cp *policyc.Policy
-			if mp != nil {
-				if fp := mp.Field(name); fp != nil {
-					cp = fp.Write
-				}
-			}
-			allowed, err := pr.conn.allowed(st, cp, pr.p, model, doc, f.Write)
+			allowed, err := st.ev.Allowed(pr.p, model, doc, f.Write)
 			if err != nil {
 				return err
 			}
@@ -567,6 +479,19 @@ func (pr *Princ) Update(model string, id store.ID, fields store.Doc) error {
 		}
 	}
 	return pr.conn.DB.Collection(model).Update(id, fields)
+}
+
+// refuseNaN rejects a write carrying a NaN anywhere in its values. The
+// runtime's one numeric order (store.CompareNumeric) holds a NaN equal to
+// every number, so a stored NaN would satisfy every equality a policy
+// tests on it.
+func refuseNaN(model string, fields store.Doc) error {
+	for name, v := range fields {
+		if store.HasNaN(v) {
+			return fmt.Errorf("orm: %s.%s: NaN is not a storable value", model, name)
+		}
+	}
+	return nil
 }
 
 // Delete removes an instance after checking the model's delete policy.
@@ -592,11 +517,7 @@ func (pr *Princ) Delete(model string, id store.ID) error {
 		return err
 	}
 	if pr.conn.enforcement {
-		var cp *policyc.Policy
-		if mp := st.policies.Model(model); mp != nil {
-			cp = mp.Delete
-		}
-		allowed, err := pr.conn.allowed(st, cp, pr.p, model, doc, m.Delete)
+		allowed, err := st.ev.Allowed(pr.p, model, doc, m.Delete)
 		if err != nil {
 			return err
 		}

@@ -76,18 +76,16 @@ func TestConcurrentORMAccess(t *testing.T) {
 }
 
 // TestSharedDocumentsRace runs every reader of shared stored documents —
-// the ORM with compiled policies (policyc), the ORM through the
-// interpreter (eval), backfill batches (FindAfter) and snapshots — against
-// every kind of store write. Readers walk every value they are handed.
-// Run with -race: a write that edits a stored document in place, instead
-// of installing a new one, races with these readers and is reported.
+// the ORM's policy evaluator, backfill batches (FindAfter) and snapshots —
+// against every kind of store write. Readers walk every value they are
+// handed. Run with -race: a write that edits a stored document in place,
+// instead of installing a new one, races with these readers and is
+// reported.
 func TestSharedDocumentsRace(t *testing.T) {
 	fx := newFixture(t)
 	db := fx.conn.DB
 	users, peeps := db.Collection("User"), db.Collection("Peep")
 	users.EnsureIndex("isAdmin")
-	interp := Open(fx.conn.Schema(), db)
-	interp.SetCompiledPolicies(false)
 	for i := 0; i < 8; i++ {
 		peeps.Insert(store.Doc{"author": fx.alice, "body": fmt.Sprintf("p%d", i)})
 	}
@@ -119,21 +117,19 @@ func TestSharedDocumentsRace(t *testing.T) {
 	}
 
 	// Readers.
-	for _, conn := range []*Conn{fx.conn, interp} {
-		pr := conn.AsPrinc(user(fx.bob))
-		run(func(int) error {
-			obj, err := pr.FindByID("User", fx.alice)
-			if err != nil || obj == nil {
-				return fmt.Errorf("FindByID: %v %v", obj, err)
-			}
-			walk(obj.Fields())
-			objs, err := pr.Find("Peep", store.Eq("author", fx.alice))
-			for _, o := range objs {
-				walk(o.Fields())
-			}
-			return err
-		})
-	}
+	bob := fx.conn.AsPrinc(user(fx.bob))
+	run(func(int) error {
+		obj, err := bob.FindByID("User", fx.alice)
+		if err != nil || obj == nil {
+			return fmt.Errorf("FindByID: %v %v", obj, err)
+		}
+		walk(obj.Fields())
+		objs, err := bob.Find("Peep", store.Eq("author", fx.alice))
+		for _, o := range objs {
+			walk(o.Fields())
+		}
+		return err
+	})
 	run(func(int) error {
 		for _, d := range users.FindAfter(store.Nil, 2) {
 			walk(d)

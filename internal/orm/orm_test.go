@@ -2,6 +2,8 @@ package orm
 
 import (
 	"errors"
+	"math"
+	"reflect"
 	"testing"
 
 	"scooter/internal/eval"
@@ -306,34 +308,12 @@ func TestSetFieldPolicy(t *testing.T) {
 	}
 }
 
-// TestConnOwnsPolicyTable pins the ownership rule for compiled policies:
-// a connection compiles its own table, keeps it across rebinds to the same
-// schema pointer, and installs a fresh one for a new schema. No table is
-// ever shared between connections, so a closed connection's table (and
-// the database its collection sites cached) is freed with it.
-func TestConnOwnsPolicyTable(t *testing.T) {
-	s := parseSpec(t, chitterSpec)
-	db := store.Open()
-	c := Open(s, db)
-	table := c.state.Load().policies
-	c.SetSchema(s)
-	if c.state.Load().policies != table {
-		t.Fatal("rebinding the same schema recompiled the policy table")
-	}
-	c.SetSchema(parseSpec(t, chitterSpec))
-	if c.state.Load().policies == table {
-		t.Fatal("a new schema kept the old policy table")
-	}
-	if Open(s, db).state.Load().policies == table {
-		t.Fatal("two connections on one schema share a policy table")
-	}
-}
-
 // TestIntegerComparisonsAreExact is the regression for comparing I64
 // values through float64, where 2^53 and 2^53+1 are the same number. The
 // body policy equals [p.author] over the integers, so a non-author must
 // never read it; with a float comparison both tests hold at score = 2^53
-// and the policy turns public. Both engines share store.CompareNumeric.
+// and the policy turns public. The evaluator and store filters share
+// store.CompareNumeric.
 func TestIntegerComparisonsAreExact(t *testing.T) {
 	s := parseSpec(t, `
 @principal
@@ -355,24 +335,65 @@ Post {
 	author := db.Collection("User").Insert(store.Doc{"name": "author"})
 	reader := db.Collection("User").Insert(store.Doc{"name": "reader"})
 	post := db.Collection("Post").Insert(store.Doc{"author": author, "score": int64(1 << 53), "body": "secret"})
-	for _, compiled := range []bool{true, false} {
-		c := Open(s, db)
-		c.SetCompiledPolicies(compiled)
-		if compiled {
-			if _, fallbacks := c.state.Load().policies.Counts(); fallbacks != 0 {
-				t.Fatalf("%d policies fell back to the interpreter", fallbacks)
-			}
-		}
-		obj, err := c.AsPrinc(user(reader)).FindByID("Post", post)
-		if err != nil || obj == nil {
-			t.Fatalf("compiled=%t: FindByID: %v, %v", compiled, obj, err)
-		}
-		if body, ok := obj.Get("body"); ok {
-			t.Fatalf("compiled=%t: a non-author read body %q at score 2^53", compiled, body)
-		}
+	obj, err := Open(s, db).AsPrinc(user(reader)).FindByID("Post", post)
+	if err != nil || obj == nil {
+		t.Fatalf("FindByID: %v, %v", obj, err)
+	}
+	if body, ok := obj.Get("body"); ok {
+		t.Fatalf("a non-author read body %q at score 2^53", body)
 	}
 	// Store filters order integers exactly too.
 	if got := db.Collection("Post").Find(store.Filter{Field: "score", Op: store.FilterGe, Value: int64(1<<53 + 1)}); len(got) != 0 {
 		t.Fatalf("score >= 2^53+1 matched a post scored 2^53: %v", got)
+	}
+}
+
+// TestWritesRefuseNaN pins the write boundary: CompareNumeric holds a NaN
+// equal to every number, so a stored NaN would satisfy p.score == 5.0 and
+// any other equality a policy tests. Insert and Update refuse a NaN
+// anywhere in a value, inside an Optional or a set too, and leave the
+// store as it was.
+func TestWritesRefuseNaN(t *testing.T) {
+	s := parseSpec(t, `
+Post {
+  create: public,
+  delete: none,
+  score: F64 { read: public, write: public },
+  bonus: Option(F64) { read: public, write: public },
+  marks: Set(F64) { read: public, write: public }}
+`)
+	db := store.Open()
+	pr := Open(s, db).AsPrinc(eval.StaticPrincipal("anyone"))
+	nan := math.NaN()
+	good := store.Doc{"score": 1.0, "bonus": store.None(), "marks": []store.Value{2.0}}
+	id, err := pr.Insert("Post", good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _ := db.Collection("Post").Get(id)
+	for name, bad := range map[string]store.Doc{
+		"plain":    {"score": nan},
+		"optional": {"bonus": store.Some(nan)},
+		"set":      {"marks": []store.Value{3.0, nan}},
+	} {
+		doc := store.Doc{}
+		for k, v := range good {
+			doc[k] = v
+		}
+		for k, v := range bad {
+			doc[k] = v
+		}
+		if _, err := pr.Insert("Post", doc); err == nil {
+			t.Errorf("%s: Insert stored a NaN", name)
+		}
+		if err := pr.Update("Post", id, bad); err == nil {
+			t.Errorf("%s: Update stored a NaN", name)
+		}
+	}
+	if n := db.Collection("Post").Count(); n != 1 {
+		t.Fatalf("store holds %d posts after refused inserts, want 1", n)
+	}
+	if after, _ := db.Collection("Post").Get(id); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused updates changed the post: %v -> %v", before, after)
 	}
 }

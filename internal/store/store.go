@@ -677,8 +677,8 @@ func valueEq(a, b Value) bool {
 // CompareNumeric three-way-compares two numeric values, reporting
 // ok=false when either is not numeric. Two integers compare exactly; a
 // float on either side takes both through float64. It is the one numeric
-// order of the runtime: store filters, the policy interpreter and the
-// compiled policies all decide comparisons and equality with it.
+// order of the runtime: store filters and the policy interpreter both
+// decide comparisons and equality with it.
 func CompareNumeric(a, b Value) (int, bool) {
 	if x, ok := toInt(a); ok {
 		if y, ok := toInt(b); ok {
@@ -698,6 +698,25 @@ func CompareNumeric(a, b Value) (int, bool) {
 	default:
 		return 0, true
 	}
+}
+
+// HasNaN reports whether v is a NaN or holds one inside an Optional or a
+// set. CompareNumeric orders a NaN equal to every number, so a stored NaN
+// would satisfy any equality a policy tests; writers refuse such values.
+func HasNaN(v Value) bool {
+	switch x := v.(type) {
+	case float64:
+		return x != x
+	case Optional:
+		return HasNaN(x.Value)
+	case []Value:
+		for _, e := range x {
+			if HasNaN(e) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func toInt(v Value) (int64, bool) {

@@ -40,6 +40,7 @@ type Cache struct {
 	m   map[CacheKey]*list.Element
 
 	evictions int64
+	flights   inflight
 }
 
 type cacheEntry struct {
@@ -110,32 +111,98 @@ func (c *Cache) Insert(key CacheKey, res Result) {
 	}
 }
 
+// inflight holds one entry per key whose proof is being solved, so a
+// concurrent proof of the same key waits for that verdict instead of
+// solving the query a second time. The zero value is ready to use.
+type inflight struct {
+	mu sync.Mutex
+	m  map[CacheKey]chan struct{}
+}
+
+// claim makes the caller the solver of key and returns nil, or returns
+// the channel that closes when the current solver of key finishes.
+func (f *inflight) claim(key CacheKey) <-chan struct{} {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if wait, ok := f.m[key]; ok {
+		return wait
+	}
+	if f.m == nil {
+		f.m = map[CacheKey]chan struct{}{}
+	}
+	f.m[key] = make(chan struct{})
+	return nil
+}
+
+// finish ends the caller's claim on key and wakes its waiters.
+func (f *inflight) finish(key CacheKey) {
+	f.mu.Lock()
+	wait, ok := f.m[key]
+	delete(f.m, key)
+	f.mu.Unlock()
+	if ok {
+		close(wait)
+	}
+}
+
 // LookupVerdict answers key from the one verdict store a proof uses: db
 // when it is attached, else cache (either may be nil). The lookup is
 // counted in st (nil-safe) under that store's tier.
+//
+// A miss makes the caller the solver of key, and it must call
+// StoreVerdict for key once it is done (defer it, so a failed or
+// panicking proof still lets go). A lookup of a key that is being solved
+// waits for that proof and counts as a hit; if the proof ends without a
+// storable verdict (Inconclusive, an error), one waiter becomes the next
+// solver and proves the key under its own budget.
 func LookupVerdict(cache *Cache, db *VerdictDB, st *Stats, key CacheKey) (Result, bool) {
+	var lookup func(CacheKey) (Result, bool)
+	var flights *inflight
 	switch {
 	case db != nil:
-		res, ok := db.Lookup(key)
-		st.recordLookup(true, ok)
-		return res, ok
+		lookup, flights = db.Lookup, &db.flights
 	case cache != nil:
-		res, ok := cache.Lookup(key)
-		st.recordLookup(false, ok)
-		return res, ok
+		lookup, flights = cache.Lookup, &cache.flights
+	default:
+		return Result{}, false
 	}
-	return Result{}, false
+	for {
+		if res, ok := lookup(key); ok {
+			st.recordLookup(db != nil, true)
+			return res, true
+		}
+		wait := flights.claim(key)
+		if wait == nil {
+			// A solver may have stored the verdict and finished between
+			// the lookup and the claim.
+			if res, ok := lookup(key); ok {
+				flights.finish(key)
+				st.recordLookup(db != nil, true)
+				return res, true
+			}
+			st.recordLookup(db != nil, false)
+			return Result{}, false
+		}
+		<-wait
+	}
 }
 
 // StoreVerdict records res under key in the store LookupVerdict reads:
-// db when it is attached, else cache (either may be nil). Inconclusive
-// results are dropped by both stores.
-func StoreVerdict(cache *Cache, db *VerdictDB, key CacheKey, res Result) {
+// db when it is attached, else cache (either may be nil). A nil res, and
+// an Inconclusive one, store nothing. Either way the caller's claim on key
+// ends and proofs waiting for it resume.
+func StoreVerdict(cache *Cache, db *VerdictDB, key CacheKey, res *Result) {
 	switch {
 	case db != nil:
-		db.Put(key, res)
+		if res != nil {
+			db.Put(key, *res)
+		}
+		db.flights.finish(key)
 	case cache != nil:
-		cache.Insert(key, res)
+		if res != nil {
+			cache.Insert(key, *res)
+		}
+		cache.flights.finish(key)
 	}
 }
 

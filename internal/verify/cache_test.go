@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"scooter/internal/ast"
+	"scooter/internal/lower"
 	"scooter/internal/smt/term"
 )
 
@@ -148,5 +149,87 @@ func TestConcurrentCheckerSharedCache(t *testing.T) {
 
 	if c.Stats.Snapshot().CacheHits == 0 {
 		t.Error("expected cache hits during concurrent re-verification")
+	}
+}
+
+// TestConcurrentProofsOfOneKeySolveOnce releases N goroutines at once on
+// one query against a shared Cache. The first to miss solves it; the rest
+// wait for that verdict and count as hits, so the counts do not depend on
+// how the goroutines interleave. Each round starts from an empty cache.
+func TestConcurrentProofsOfOneKeySolveOnce(t *testing.T) {
+	s := loadSchema(t, chitterSchema)
+	pOld := policyOn(t, s, "User", `u -> User::Find({adminLevel: 2})`)
+	pNew := policyOn(t, s, "User", `u -> User::Find({adminLevel >= 1})`)
+	kind := lower.PrincipalKind{Model: "User"}
+	const n = 8
+	for round := 0; round < 20; round++ {
+		c := New(s, nil)
+		c.Cache = NewCache(64)
+		c.Stats = &Stats{}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		ces := make([]string, n)
+		errs := make(chan error, n)
+		for w := 0; w < n; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				res, err := c.checkKind("User", pNew, "User", pOld, kind)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if res.Verdict != Violation {
+					errs <- fmt.Errorf("verdict %v, want Violation", res.Verdict)
+					return
+				}
+				ces[w] = res.Counterexample.String()
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		snap := c.Stats.Snapshot()
+		if snap.QueriesSolved != 1 || snap.CacheMisses != 1 || snap.CacheHits != n-1 {
+			t.Fatalf("round %d: %d solved, %d miss, %d hit; want 1, 1, %d", round, snap.QueriesSolved, snap.CacheMisses, snap.CacheHits, n-1)
+		}
+		for w := 1; w < n; w++ {
+			if ces[w] != ces[0] {
+				t.Fatalf("round %d: counterexamples differ:\n%s\nvs\n%s", round, ces[w], ces[0])
+			}
+		}
+	}
+}
+
+// TestInconclusiveProofHandsKeyOn: a proof that ends Inconclusive stores
+// nothing, so the proof waiting on its key must solve the key itself
+// rather than report a hit; its conclusive verdict then answers later
+// lookups.
+func TestInconclusiveProofHandsKeyOn(t *testing.T) {
+	c := NewCache(8)
+	st := &Stats{}
+	k := key(1)
+	if _, ok := LookupVerdict(c, nil, st, k); ok {
+		t.Fatal("hit on an empty cache")
+	}
+	second := make(chan bool)
+	go func() {
+		_, ok := LookupVerdict(c, nil, st, k)
+		second <- ok
+	}()
+	StoreVerdict(c, nil, k, &Result{Verdict: Inconclusive})
+	if <-second {
+		t.Fatal("a waiter was answered from an Inconclusive proof")
+	}
+	StoreVerdict(c, nil, k, &Result{Verdict: Safe})
+	if res, ok := LookupVerdict(c, nil, st, k); !ok || res.Verdict != Safe {
+		t.Fatalf("after the second proof: (%v, %v), want (Safe, true)", res.Verdict, ok)
+	}
+	if snap := st.Snapshot(); snap.CacheMisses != 2 || snap.CacheHits != 1 {
+		t.Fatalf("%d miss / %d hit, want 2 / 1", snap.CacheMisses, snap.CacheHits)
 	}
 }

@@ -31,6 +31,7 @@ type VerdictDB struct {
 	f        *os.File
 	m        map[CacheKey]Result
 	writeErr error
+	flights  inflight
 
 	corrupt int64
 }

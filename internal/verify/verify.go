@@ -165,10 +165,12 @@ func (c *Checker) checkKind(dstModel string, dstRead ast.Policy, srcModel string
 		c.observeProof(key, kind, &res, true, nil, start)
 		return &res, nil
 	}
+	var res *Result
+	defer func() { StoreVerdict(c.Cache, c.Persist, key, res) }()
 	if ex := c.Limits.Expired(); ex != nil {
 		// The budget was gone before solving started; report it without
 		// spinning up a solver.
-		res := &Result{Verdict: Inconclusive, Kind: kind, Incomplete: true, Why: ex}
+		res = &Result{Verdict: Inconclusive, Kind: kind, Incomplete: true, Why: ex}
 		c.observeProof(key, kind, res, false, nil, start)
 		return res, nil
 	}
@@ -183,7 +185,6 @@ func (c *Checker) checkKind(dstModel string, dstRead ast.Policy, srcModel string
 	if serr != nil {
 		return nil, fmt.Errorf("solving flow %s -> %s for principal kind %s: %w", srcModel, dstModel, kind, serr)
 	}
-	var res *Result
 	switch status {
 	case solver.Unsat:
 		res = &Result{Verdict: Safe, Incomplete: q.Incomplete}
@@ -193,7 +194,6 @@ func (c *Checker) checkKind(dstModel string, dstRead ast.Policy, srcModel string
 		ce := renderCounterexample(c.Schema, q, s.Model())
 		res = &Result{Verdict: Violation, Kind: kind, Counterexample: ce, Incomplete: q.Incomplete}
 	}
-	StoreVerdict(c.Cache, c.Persist, key, *res)
 	c.observeProof(key, kind, res, false, s, start)
 	return res, nil
 }
