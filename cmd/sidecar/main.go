@@ -166,8 +166,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		traceFile = f
 		opts.Trace = obs.NewTracer(f)
-		// Sequential proofs give the trace a deterministic event order.
-		opts.Sequential = true
 	}
 	opts.Online = *online
 	opts.BatchSize = *batchSize

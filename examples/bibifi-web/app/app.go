@@ -120,11 +120,7 @@ func Open(dataDir string, opts scooter.DurabilityOptions) (*Server, error) {
 	if _, err := w.MigrateNamed("001_init", Spec); err != nil {
 		return nil, err
 	}
-	// Sequential proofs let 002's alpha-equivalent policy pairs hit the
-	// verdict cache (the second field's proofs reuse the first's verdicts).
-	opts002 := scooter.DefaultOptions()
-	opts002.Sequential = true
-	if _, err := w.MigrateNamedOpts("002_policies", Migration002, opts002); err != nil {
+	if _, err := w.MigrateNamed("002_policies", Migration002); err != nil {
 		return nil, err
 	}
 	s := &Server{W: w, mux: http.NewServeMux()}

@@ -18,8 +18,9 @@ import (
 func main() {
 	w := scooter.NewWorkspace()
 
-	// The Chitter schema of Figure 1, built through a migration.
-	must(w.Migrate(`
+	// The Chitter schema of Figure 1, built through a named (journaled)
+	// migration.
+	_, err := w.MigrateNamed("001_chitter", `
 AddStaticPrincipal(Unauthenticated);
 CreateModel(@principal User {
   create: _ -> [Unauthenticated],
@@ -46,13 +47,14 @@ CreateModel(Peep {
   author: Id(User) { read: public, write: none },
   body: String { read: public, write: p -> [p.author] },
 });
-`))
+`)
+	must(err)
 
 	seedUsers(w)
 
 	// ---- §2.1: the unsafe schema migration ----
 	fmt.Println("== bio migration that leaks pronouns ==")
-	err := w.Migrate(`
+	_, err = w.MigrateNamed("002_bio", `
 User::AddField(bio : String {
   read: public,
   write: u -> [u] + User::Find({isAdmin:true})
@@ -64,18 +66,20 @@ User::AddField(bio : String {
 	}
 	fmt.Println(unsafeErr)
 
+	// A rejected script was never journaled, so the fix reuses its name.
 	fmt.Println("== fixed bio migration (no pronouns) ==")
-	must(w.Migrate(`
+	_, err = w.MigrateNamed("002_bio", `
 User::AddField(bio : String {
   read: public,
   write: u -> [u] + User::Find({isAdmin:true})
 }, u -> "I'm " + u.name);
-`))
+`)
+	must(err)
 	fmt.Println("accepted; existing rows populated")
 
 	// ---- §2.2: the unsafe policy migration ----
 	fmt.Println("\n== moderator migration with the >= 0 typo ==")
-	err = w.Migrate(`
+	_, err = w.MigrateNamed("003_moderators", `
 User::AddField(
   adminLevel : I64 {
     read: u -> [u] + User::Find({adminLevel: 2}),
@@ -94,7 +98,7 @@ User::UpdateFieldWritePolicy(bio,
 	fmt.Println(unsafeErr)
 
 	fmt.Println("== moderator migration with an explicit, audited weakening ==")
-	must(w.Migrate(`
+	_, err = w.MigrateNamed("003_moderators", `
 User::AddField(
   adminLevel : I64 {
     read: u -> [u] + User::Find({adminLevel: 2}),
@@ -112,7 +116,8 @@ User::UpdateFieldWritePolicy(pronouns, u -> [u] + User::Find({adminLevel: 2}));
 User::UpdateFieldWritePolicy(followers, u -> [u] + User::Find({adminLevel: 2}));
 Peep::UpdatePolicy(delete, p -> [p.author] + User::Find({adminLevel: 2}));
 User::RemoveField(isAdmin);
-`))
+`)
+	must(err)
 	fmt.Println("accepted; isAdmin replaced by adminLevel via prior definitions (§4):")
 	fmt.Println("every rewritten policy was proven equivalent to its isAdmin form")
 	fmt.Println("\nfinal specification:")

@@ -16,8 +16,9 @@ func main() {
 	w := scooter.NewWorkspace()
 
 	// 1. Bootstrap the schema. Everything goes through migrations — there
-	// is no separate schema file to hand-edit.
-	must(w.Migrate(`
+	// is no separate schema file to hand-edit. Each migration is named and
+	// journaled, so it runs exactly once.
+	_, err := w.MigrateNamed("001_users", `
 AddStaticPrincipal(Unauthenticated);
 CreateModel(@principal User {
   create: _ -> [Unauthenticated],
@@ -25,7 +26,8 @@ CreateModel(@principal User {
   name:  String { read: public,   write: u -> [u] },
   email: String { read: u -> [u], write: u -> [u] },
 });
-`))
+`)
+	must(err)
 	fmt.Println("schema after bootstrap:")
 	fmt.Println(w.SpecText())
 
@@ -47,7 +49,7 @@ CreateModel(@principal User {
 	// 3. An unsafe migration: copying the private email into a public
 	// display field. Sidecar rejects it before anything executes and
 	// prints a witness database.
-	err = w.Migrate(`
+	_, err = w.MigrateNamed("002_display_name", `
 User::AddField(displayName : String {
   read: public,
   write: u -> [u]
@@ -57,13 +59,15 @@ User::AddField(displayName : String {
 	fmt.Println(err)
 
 	// 4. The fixed migration verifies and executes: existing rows are
-	// populated by the initialiser.
-	must(w.Migrate(`
+	// populated by the initialiser. A rejected script was never journaled,
+	// so the fix reuses its name.
+	_, err = w.MigrateNamed("002_display_name", `
 User::AddField(displayName : String {
   read: public,
   write: u -> [u]
 }, u -> u.name);
-`))
+`)
+	must(err)
 	obj, err = bob.FindByID("User", aliceID)
 	must(err)
 	display, _ := obj.Get("displayName")

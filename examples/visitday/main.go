@@ -94,7 +94,8 @@ func buildWorkspace() *scooter.Workspace {
 	for _, name := range names {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		must(err)
-		must(w.Migrate(string(data)))
+		_, err = w.MigrateNamed(name, string(data))
+		must(err)
 	}
 	return w
 }

@@ -2,6 +2,7 @@ package casestudies
 
 import (
 	"testing"
+	"time"
 
 	"scooter/internal/eval"
 	"scooter/internal/migrate"
@@ -112,5 +113,12 @@ func applyScript(t *testing.T, cur *schema.Schema, db *store.DB, src string) (*s
 	if err != nil {
 		return nil, err
 	}
-	return migrate.VerifyAndExecute(cur, script, db, migrate.DefaultOptions())
+	plan, err := migrate.Verify(cur, script, migrate.DefaultOptions())
+	if err != nil {
+		return nil, err
+	}
+	if err := migrate.ExecuteFromAt(plan, db, nil, migrate.JournalEntry{AppliedAt: time.Now().Unix()}, migrate.DefaultOptions(), nil, nil); err != nil {
+		return nil, err
+	}
+	return plan.After, nil
 }

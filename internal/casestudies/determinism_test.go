@@ -2,10 +2,12 @@ package casestudies
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
 	"scooter/internal/migrate"
+	"scooter/internal/obs"
 	"scooter/internal/specfmt"
 	"scooter/internal/verify"
 )
@@ -71,13 +73,14 @@ func TestCachedVerificationMatchesCold(t *testing.T) {
 	}
 }
 
-// TestMetricsMatchSequential verifies the default driver — concurrent
-// studies, parallel deferred proofs — reports exactly what a proofs-
-// sequential replay reports.
-func TestMetricsMatchSequential(t *testing.T) {
-	seq := migrate.DefaultOptions()
-	seq.Sequential = true
-	want, err := MetricsOpts(seq)
+// TestMetricsMatchTraced verifies the default driver — concurrent
+// studies, parallel deferred proofs — reports exactly what a traced
+// replay, which proves each script's obligations in command order,
+// reports.
+func TestMetricsMatchTraced(t *testing.T) {
+	traced := migrate.DefaultOptions()
+	traced.Trace = obs.NewTracer(io.Discard)
+	want, err := MetricsOpts(traced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,6 +89,6 @@ func TestMetricsMatchSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	if FormatFigure5(got) != FormatFigure5(want) {
-		t.Errorf("concurrent metrics diverged:\n%s\nvs sequential:\n%s", FormatFigure5(got), FormatFigure5(want))
+		t.Errorf("concurrent metrics diverged:\n%s\nvs traced:\n%s", FormatFigure5(got), FormatFigure5(want))
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"scooter/internal/migrate"
 	"scooter/internal/parser"
 	"scooter/internal/schema"
+	"scooter/internal/specfmt"
 	"scooter/internal/typer"
 	"scooter/internal/verify"
 )
@@ -47,6 +48,11 @@ func TestUnsafeCasesDetected(t *testing.T) {
 			if !strings.Contains(ce, c.WantPrincipal) {
 				t.Errorf("%s: counterexample principal should mention %q:\n%s", c.Name, c.WantPrincipal, ce)
 			}
+			// The structural path proves nothing, so it plans the unsafe
+			// script Sidecar just rejected.
+			if _, err := migrate.Structural(s, script); err != nil {
+				t.Errorf("%s: Structural rejected the unsafe script: %v", c.Name, err)
+			}
 
 			// Policy-update violations must replay against the runtime
 			// evaluator on the witness database (AddField leaks compare
@@ -75,8 +81,17 @@ func TestUnsafeCasesDetected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := migrate.Verify(s, fix, migrate.DefaultOptions()); err != nil {
-				t.Errorf("%s: corrected migration rejected: %v", c.Name, err)
+			verified, err := migrate.Verify(s, fix, migrate.DefaultOptions())
+			if err != nil {
+				t.Fatalf("%s: corrected migration rejected: %v", c.Name, err)
+			}
+			// Structural plans the same schema Verify does.
+			planned, err := migrate.Structural(s, fix)
+			if err != nil {
+				t.Fatalf("%s: Structural rejected the corrected script: %v", c.Name, err)
+			}
+			if got, want := specfmt.Format(planned.After), specfmt.Format(verified.After); got != want {
+				t.Errorf("%s: Structural planned\n%s\nVerify planned\n%s", c.Name, got, want)
 			}
 		})
 	}

@@ -11,10 +11,11 @@ import (
 )
 
 // Apply runs a named migration exactly once, durably, against conn's
-// database and live schema. It is the crash-safe sibling of
-// VerifyAndExecute: the journal entry is written before the first command
-// executes and advanced after each command, and every journal write flows
-// through the store's durability layer after the command's own mutations.
+// database and live schema; it is the one executor of migrations against
+// live data. Sidecar verifies the script first. The journal entry is then
+// written before the first command executes and advanced after each
+// command, and every journal write flows through the store's durability
+// layer after the command's own mutations.
 // A process killed mid-script therefore recovers to a consistent prefix —
 // the journal's Applied count never exceeds what the data reflects — and
 // the next Apply of the same script verifies it again and resumes at the
@@ -51,7 +52,7 @@ func Apply(conn *orm.Conn, name, src string, opts Options) (applied bool, err er
 		// structural checks — model/field exists — and the schema is
 		// correct as-is). Commands that re-apply cleanly in the second
 		// case (policy updates) are idempotent, so both paths converge.
-		after, err := replaySchema(before, src, opts)
+		after, err := replaySchema(before, src)
 		if err != nil {
 			return false, nil
 		}
@@ -129,13 +130,12 @@ func specBehind(j *Journal, name string, before *schema.Schema) bool {
 
 // replaySchema recomputes the schema effects of an already-applied script
 // without re-proving or re-executing it.
-func replaySchema(before *schema.Schema, src string, opts Options) (*schema.Schema, error) {
+func replaySchema(before *schema.Schema, src string) (*schema.Schema, error) {
 	script, err := parser.ParseMigration(src)
 	if err != nil {
 		return nil, err
 	}
-	opts.SkipVerification = true
-	plan, err := Verify(before, script, opts)
+	plan, err := Structural(before, script)
 	if err != nil {
 		return nil, err
 	}

@@ -30,7 +30,6 @@ User::AddField(karma : I64 {
 
 func applyOpts() Options {
 	o := DefaultOptions()
-	o.SkipVerification = true // resume/journal mechanics under test, not proofs
 	o.Clock = fixedClock
 	return o
 }

@@ -55,7 +55,7 @@ func VerifyOnlineEquivalent(before *schema.Schema, name string, script *ast.Migr
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	online.ID += fmt.Sprintf("\x00online(batch=%d)", batchSize)
-	onlinePlan, err := Verify(before, script, Options{SkipVerification: true})
+	onlinePlan, err := Structural(before, script)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
@@ -67,7 +67,7 @@ func VerifyOnlineEquivalent(before *schema.Schema, name string, script *ast.Migr
 
 // scriptSide plans a script and packages it as an equivalence-check side.
 func scriptSide(before *schema.Schema, name string, script *ast.MigrationScript) (equivcheck.Side, error) {
-	plan, err := Verify(before, script, Options{SkipVerification: true})
+	plan, err := Structural(before, script)
 	if err != nil {
 		return equivcheck.Side{}, err
 	}

@@ -2,7 +2,6 @@ package migrate
 
 import (
 	"fmt"
-	"time"
 
 	"scooter/internal/ast"
 	"scooter/internal/equiv"
@@ -124,22 +123,4 @@ func normaliseForField(t ast.Type, v store.Value) store.Value {
 		}
 	}
 	return v
-}
-
-// VerifyAndExecute runs the full pipeline: verify the script against the
-// schema, then execute it against the database. It returns the post-
-// migration schema (the new authoritative specification).
-func VerifyAndExecute(before *schema.Schema, script *ast.MigrationScript, db *store.DB, opts Options) (*schema.Schema, error) {
-	plan, err := Verify(before, script, opts)
-	if err != nil {
-		return nil, err
-	}
-	now := time.Now
-	if opts.Clock != nil {
-		now = opts.Clock
-	}
-	if err := ExecuteFromAt(plan, db, nil, JournalEntry{AppliedAt: now().Unix()}, opts, nil, nil); err != nil {
-		return nil, err
-	}
-	return plan.After, nil
 }

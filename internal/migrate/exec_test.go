@@ -4,16 +4,31 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"scooter/internal/ast"
 	"scooter/internal/eval"
 	"scooter/internal/orm"
 	"scooter/internal/parser"
+	"scooter/internal/schema"
 	"scooter/internal/store"
 )
 
 func parseScript(src string) (*ast.MigrationScript, error) {
 	return parser.ParseMigration(src)
+}
+
+// verifyExec verifies script against s and executes the plan on db: Apply
+// without the journal.
+func verifyExec(s *schema.Schema, script *ast.MigrationScript, db *store.DB) (*schema.Schema, error) {
+	plan, err := Verify(s, script, DefaultOptions())
+	if err != nil {
+		return nil, err
+	}
+	if err := ExecuteFromAt(plan, db, nil, JournalEntry{AppliedAt: time.Now().Unix()}, DefaultOptions(), nil, nil); err != nil {
+		return nil, err
+	}
+	return plan.After, nil
 }
 
 // seedChitter populates a database matching chitterBase.
@@ -46,7 +61,7 @@ User::AddField(bio : String {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := VerifyAndExecute(s, script, db, DefaultOptions())
+	after, err := verifyExec(s, script, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +93,7 @@ User::UpdateFieldPolicy(email, {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := VerifyAndExecute(s, script, db, DefaultOptions())
+	after, err := verifyExec(s, script, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +120,7 @@ func TestExecuteRemoveField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := VerifyAndExecute(s, script, db, DefaultOptions())
+	after, err := verifyExec(s, script, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +147,7 @@ CreateModel(Peep {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := VerifyAndExecute(s, script, db, DefaultOptions())
+	after, err := verifyExec(s, script, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +157,7 @@ CreateModel(Peep {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := VerifyAndExecute(after, script2, db, DefaultOptions()); err != nil {
+	if _, err := verifyExec(after, script2, db); err != nil {
 		t.Fatal(err)
 	}
 	if db.Collection("Peep").Len() != 0 {
@@ -163,7 +178,7 @@ User::AddField(blocked : Set(Id(User)) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := VerifyAndExecute(s, script, db, DefaultOptions()); err != nil {
+	if _, err := verifyExec(s, script, db); err != nil {
 		t.Fatal(err)
 	}
 	doc, _ := db.Collection("User").Get(alice)
@@ -186,7 +201,7 @@ User::AddField(nickname : Option(String) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := VerifyAndExecute(s, script, db, DefaultOptions()); err != nil {
+	if _, err := verifyExec(s, script, db); err != nil {
 		t.Fatal(err)
 	}
 	doc, _ := db.Collection("User").Get(alice)

@@ -2,10 +2,12 @@ package migrate
 
 import (
 	"context"
+	"io"
 	"strings"
 	"testing"
 	"time"
 
+	"scooter/internal/obs"
 	"scooter/internal/parser"
 	"scooter/internal/smt/limits"
 )
@@ -89,20 +91,23 @@ func TestCanceledContextYieldsInconclusive(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	opts := DefaultOptions()
-	opts.Context = ctx
-	for _, sequential := range []bool{false, true} {
-		opts.Sequential = sequential
+	// A traced run proves in command order; an untraced one concurrently.
+	for _, traced := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.Context = ctx
+		if traced {
+			opts.Trace = obs.NewTracer(io.Discard)
+		}
 		_, err = Verify(s, script, opts)
 		ue, ok := err.(*UnsafeError)
 		if !ok {
-			t.Fatalf("sequential=%v: want *UnsafeError, got %T: %v", sequential, err, err)
+			t.Fatalf("traced=%v: want *UnsafeError, got %T: %v", traced, err, err)
 		}
 		if ue.Index != 0 {
-			t.Fatalf("sequential=%v: earliest command must be blamed, got command %d", sequential, ue.Index+1)
+			t.Fatalf("traced=%v: earliest command must be blamed, got command %d", traced, ue.Index+1)
 		}
 		if ue.Result == nil || ue.Result.Why == nil || ue.Result.Why.Reason != limits.Canceled {
-			t.Fatalf("sequential=%v: want cancellation in the result, got %+v", sequential, ue.Result)
+			t.Fatalf("traced=%v: want cancellation in the result, got %+v", traced, ue.Result)
 		}
 	}
 }

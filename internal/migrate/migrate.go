@@ -30,9 +30,6 @@ type Options struct {
 	// TrackEquivalences enables prior-definition tracking (§6.4). On by
 	// default via DefaultOptions.
 	TrackEquivalences bool
-	// SkipVerification applies schema effects without strictness proofs;
-	// used by trusted bootstrap migrations in tests and benchmarks.
-	SkipVerification bool
 	// SolverRounds overrides the per-query SMT round budget
 	// (verify.DefaultSolverRounds when 0).
 	SolverRounds int
@@ -42,10 +39,6 @@ type Options struct {
 	Cache *verify.Cache
 	// Stats, when set, accumulates verification counters across commands.
 	Stats *verify.Stats
-	// Sequential runs the deferred strictness proofs one at a time instead
-	// of overlapping them; results are identical either way (proofs are
-	// independent and reported in command order).
-	Sequential bool
 	// Context, when set, cancels verification: proofs still pending when it
 	// is done come back Inconclusive (never an error or a panic), so a
 	// Ctrl-C or a global -timeout yields a readable report.
@@ -68,8 +61,9 @@ type Options struct {
 	// Metrics, when set, observes each strictness proof in the workspace
 	// registry.
 	Metrics *obs.VerifyMetrics
-	// Trace, when set, receives one JSON event per strictness proof.
-	// Combine with Sequential for a deterministic event order.
+	// Trace, when set, receives one JSON event per strictness proof. A
+	// traced Verify proves in command order, so the events (cache hits
+	// included) come out in a deterministic order.
 	Trace *obs.Tracer
 	// VerdictDB, when set, is the persistent verdict store and replaces
 	// Cache: verdicts are looked up there and appended after every
@@ -170,29 +164,7 @@ func (e *UnsafeError) Error() string {
 // failures are examined in command order, so the error returned is the
 // same one sequential verification would have produced first.
 func Verify(before *schema.Schema, script *ast.MigrationScript, opts Options) (*Plan, error) {
-	// applyCommand is copy-on-write at model granularity, so a shallow
-	// snapshot suffices: before's models are never mutated, and Plan.After
-	// shares the unchanged ones.
-	cur := before.Snapshot()
-	defs := equiv.New()
-	defs.SetEnabled(opts.TrackEquivalences)
-	plan := &Plan{Before: before, Script: script}
-
-	var deferred []deferredCheck
-	var structuralErr error
-	for i, cmd := range script.Commands {
-		report, checks, err := verifyCommand(cur, defs, i, cmd, opts)
-		if err != nil {
-			structuralErr = err
-			break
-		}
-		deferred = append(deferred, checks...)
-		plan.Reports = append(plan.Reports, *report)
-		if err := applyCommand(cur, defs, cmd); err != nil {
-			structuralErr = &UnsafeError{Index: i, Command: cmd, Detail: err.Error()}
-			break
-		}
-	}
+	plan, deferred, structuralErr := planScript(before, script, opts)
 	// Deferred proofs cover only commands that structurally verified
 	// before any structural failure, so an earlier proof failure outranks
 	// a later structural one — matching sequential order.
@@ -202,8 +174,50 @@ func Verify(before *schema.Schema, script *ast.MigrationScript, opts Options) (*
 	if structuralErr != nil {
 		return nil, structuralErr
 	}
-	plan.After = cur
 	return plan, nil
+}
+
+// Structural plans a script's schema effects with every structural and
+// type check of Verify but none of its strictness or dataflow proofs. It
+// is the one path that skips Sidecar, for scripts that need no proof: a
+// journaled script being replayed, a synthesized candidate being
+// previewed, or an equivalence check's two sides. Nothing it plans is
+// executed against live data except through Apply, which re-verifies.
+func Structural(before *schema.Schema, script *ast.MigrationScript) (*Plan, error) {
+	plan, _, err := planScript(before, script, Options{})
+	if err != nil {
+		return nil, err
+	}
+	return plan, nil
+}
+
+// planScript runs the per-command structural and type checks against the
+// schema-so-far and collects each command's deferred proofs without
+// running them. On a structural failure it returns the proofs registered
+// by the commands before the failing one alongside the error.
+func planScript(before *schema.Schema, script *ast.MigrationScript, opts Options) (*Plan, []deferredCheck, error) {
+	// applyCommand is copy-on-write at model granularity, so a shallow
+	// snapshot suffices: before's models are never mutated, and Plan.After
+	// shares the unchanged ones.
+	cur := before.Snapshot()
+	defs := equiv.New()
+	defs.SetEnabled(opts.TrackEquivalences)
+	plan := &Plan{Before: before, Script: script}
+
+	var deferred []deferredCheck
+	for i, cmd := range script.Commands {
+		report, checks, err := verifyCommand(cur, defs, i, cmd, opts)
+		if err != nil {
+			return nil, deferred, err
+		}
+		deferred = append(deferred, checks...)
+		plan.Reports = append(plan.Reports, *report)
+		if err := applyCommand(cur, defs, cmd); err != nil {
+			return nil, deferred, &UnsafeError{Index: i, Command: cmd, Detail: err.Error()}
+		}
+	}
+	plan.After = cur
+	return plan, deferred, nil
 }
 
 // deferredCheck is one SMT-backed proof obligation, closed over the
@@ -218,40 +232,35 @@ type deferredCheck func(*limits.Checker) error
 // Each proof gets its own limits checker, so a timed-out proof never takes
 // down its siblings; a panicking proof is contained to an error for its
 // command rather than crashing the pool.
+//
+// A traced run uses one worker, which proves in command order: under
+// concurrency, which of two alpha-equivalent proofs waits on the other's
+// in-flight verdict, and so records the cache hit, depends on scheduling.
 func runDeferred(checks []deferredCheck, opts Options) error {
 	if len(checks) == 0 {
 		return nil
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if opts.Sequential || workers < 1 {
-		workers = 1
-	}
-	if workers > len(checks) {
-		workers = len(checks)
+	workers := 1
+	if opts.Trace == nil {
+		workers = min(runtime.GOMAXPROCS(0), len(checks))
 	}
 	errs := make([]error, len(checks))
-	if workers == 1 {
-		for i, check := range checks {
-			errs[i] = runCheck(check, opts)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(checks) {
-						return
-					}
-					errs[i] = runCheck(checks[i], opts)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(checks) {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				errs[i] = runCheck(checks[i], opts)
+			}
+		}()
 	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -402,40 +411,38 @@ func verifyCommand(cur *schema.Schema, defs *equiv.Defs, idx int, cmd ast.Comman
 		if err := tc.CheckInitFn(c.ModelName, c.Init, c.Field.Type); err != nil {
 			return nil, nil, fail("initialiser: "+err.Error(), nil, nil)
 		}
-		if !opts.SkipVerification {
-			flows := dataflow.Sources(c.Init, c.ModelName, c.Field.Name)
-			report.Flows = flows
-			field := &schema.Field{Name: c.Field.Name, Type: c.Field.Type, Read: c.Field.Read, Write: c.Field.Write}
-			// The initialiser defines the new field in terms of existing
-			// ones; that definitional equality is available to the
-			// command's own verification (paper §4, "Using Prior
-			// Definitions") — e.g. adminLevel's read policy
-			// Find({adminLevel: 2}) verifies against isAdmin's policy via
-			// the initialiser u -> if u.isAdmin then 2 else 0.
-			defs.Record(c.ModelName, c.Field.Name, c.Init)
-			// trial is local to this command and never mutated again; the
-			// definition tracker advances with the script, so clone it.
-			checker := newChecker(trial, defs.Clone(), opts)
-			model, init := c.ModelName, c.Init
-			checks = append(checks, func(lc *limits.Checker) error {
-				leak, err := withLimits(checker, lc).CheckAddFieldLeaks(model, field, init, flows)
-				if err != nil {
-					return fail(err.Error(), nil, nil)
+		flows := dataflow.Sources(c.Init, c.ModelName, c.Field.Name)
+		report.Flows = flows
+		field := &schema.Field{Name: c.Field.Name, Type: c.Field.Type, Read: c.Field.Read, Write: c.Field.Write}
+		// The initialiser defines the new field in terms of existing
+		// ones; that definitional equality is available to the
+		// command's own verification (paper §4, "Using Prior
+		// Definitions") — e.g. adminLevel's read policy
+		// Find({adminLevel: 2}) verifies against isAdmin's policy via
+		// the initialiser u -> if u.isAdmin then 2 else 0.
+		defs.Record(c.ModelName, c.Field.Name, c.Init)
+		// trial is local to this command and never mutated again; the
+		// definition tracker advances with the script, so clone it.
+		checker := newChecker(trial, defs.Clone(), opts)
+		model, init := c.ModelName, c.Init
+		checks = append(checks, func(lc *limits.Checker) error {
+			leak, err := withLimits(checker, lc).CheckAddFieldLeaks(model, field, init, flows)
+			if err != nil {
+				return fail(err.Error(), nil, nil)
+			}
+			if leak != nil {
+				if leak.Result.Verdict == verify.Inconclusive {
+					return fail(inconclusiveDetail(
+						fmt.Sprintf("dataflow %s -> %s.%s", leak.Flow.SrcModel+"."+leak.Flow.SrcField, model, field.Name),
+						leak.Result), leak.Result, &leak.Flow)
 				}
-				if leak != nil {
-					if leak.Result.Verdict == verify.Inconclusive {
-						return fail(inconclusiveDetail(
-							fmt.Sprintf("dataflow %s -> %s.%s", leak.Flow.SrcModel+"."+leak.Flow.SrcField, model, field.Name),
-							leak.Result), leak.Result, &leak.Flow)
-					}
-					return fail(
-						fmt.Sprintf("data leak: %s flows to %s.%s but has a stricter read policy",
-							leak.Flow.SrcModel+"."+leak.Flow.SrcField, model, field.Name),
-						leak.Result, &leak.Flow)
-				}
-				return nil
-			})
-		}
+				return fail(
+					fmt.Sprintf("data leak: %s flows to %s.%s but has a stricter read policy",
+						leak.Flow.SrcModel+"."+leak.Flow.SrcField, model, field.Name),
+					leak.Result, &leak.Flow)
+			}
+			return nil
+		})
 
 	case *ast.RemoveField:
 		m := cur.Model(c.ModelName)
@@ -457,29 +464,27 @@ func verifyCommand(cur *schema.Schema, defs *equiv.Defs, idx int, cmd ast.Comman
 		if err := tc.CheckPolicy(c.ModelName, c.NewPolicy); err != nil {
 			return nil, nil, fail(err.Error(), nil, nil)
 		}
-		if !opts.SkipVerification {
-			old := m.Create
-			if c.Op == ast.OpDelete {
-				old = m.Delete
-			}
-			checker := newChecker(cur.Snapshot(), defs.Clone(), opts)
-			model, op, newPol := c.ModelName, c.Op, c.NewPolicy
-			checks = append(checks, func(lc *limits.Checker) error {
-				res, err := withLimits(checker, lc).CheckStrictness(model, old, newPol)
-				if err != nil {
-					return fail(err.Error(), nil, nil)
-				}
-				if res.Verdict == verify.Inconclusive {
-					return fail(inconclusiveDetail(fmt.Sprintf("the %s policy", op), res), res, nil)
-				}
-				if res.Verdict != verify.Safe {
-					return fail(
-						fmt.Sprintf("new %s policy is not at least as strict as the old one (use WeakenPolicy to weaken intentionally)", op),
-						res, nil)
-				}
-				return nil
-			})
+		old := m.Create
+		if c.Op == ast.OpDelete {
+			old = m.Delete
 		}
+		checker := newChecker(cur.Snapshot(), defs.Clone(), opts)
+		model, op, newPol := c.ModelName, c.Op, c.NewPolicy
+		checks = append(checks, func(lc *limits.Checker) error {
+			res, err := withLimits(checker, lc).CheckStrictness(model, old, newPol)
+			if err != nil {
+				return fail(err.Error(), nil, nil)
+			}
+			if res.Verdict == verify.Inconclusive {
+				return fail(inconclusiveDetail(fmt.Sprintf("the %s policy", op), res), res, nil)
+			}
+			if res.Verdict != verify.Safe {
+				return fail(
+					fmt.Sprintf("new %s policy is not at least as strict as the old one (use WeakenPolicy to weaken intentionally)", op),
+					res, nil)
+			}
+			return nil
+		})
 
 	case *ast.WeakenPolicy:
 		m := cur.Model(c.ModelName)
@@ -512,9 +517,6 @@ func verifyCommand(cur *schema.Schema, defs *equiv.Defs, idx int, cmd ast.Comman
 			}
 			if err := tc.CheckPolicy(c.ModelName, *upd.pol); err != nil {
 				return nil, nil, fail(err.Error(), nil, nil)
-			}
-			if opts.SkipVerification {
-				continue
 			}
 			if checker == nil {
 				checker = newChecker(cur.Snapshot(), defs.Clone(), opts)

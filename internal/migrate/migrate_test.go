@@ -418,7 +418,7 @@ User::AddField(backupAvatar: Blob {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := VerifyAndExecute(plan.After, script, db, DefaultOptions())
+	after, err := verifyExec(plan.After, script, db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,9 +148,7 @@ func Diff(from, to *schema.Schema) (*Result, error) {
 // the round-trip property tests. Real application always goes through
 // migrate.Verify / the workspace journal so Sidecar disposes first.
 func Apply(from *schema.Schema, cmds []ast.Command) (*schema.Schema, error) {
-	opts := migrate.DefaultOptions()
-	opts.SkipVerification = true
-	plan, err := migrate.Verify(from, &ast.MigrationScript{Commands: cmds}, opts)
+	plan, err := migrate.Structural(from, &ast.MigrationScript{Commands: cmds})
 	if err != nil {
 		return nil, err
 	}

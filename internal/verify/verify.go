@@ -49,9 +49,10 @@ type Result struct {
 	Kind lower.PrincipalKind
 	// Counterexample is set on Violation.
 	Counterexample *Counterexample
-	// Incomplete notes that bounded instantiation was used, so a
-	// counterexample may be spurious and a Safe verdict holds only up to
-	// the instantiation bound.
+	// Incomplete notes that bounded instantiation was used. The bound only
+	// weakens the violation query (the negative-side universal is
+	// instantiated over a finite pool), so a Safe verdict stays sound and
+	// only a Violation's counterexample may be spurious.
 	Incomplete bool
 	// Why records which resource budget ran out when Verdict is
 	// Inconclusive (nil for definitive verdicts).

@@ -36,12 +36,9 @@ User::AddField(bio : String { read: public, write: public }, u -> "I'm " + u.nam
 
 func onlineFixedClock() time.Time { return time.Unix(1700000000, 0) }
 
-// onlineTestOpts skips verification (journal/backfill mechanics are under
-// test, not proofs) and pins the clock so both runs journal identical
-// bytes.
+// onlineTestOpts pins the clock so both runs journal identical bytes.
 func onlineTestOpts() scooter.Options {
 	o := scooter.DefaultOptions()
-	o.SkipVerification = true
 	o.Clock = onlineFixedClock
 	return o
 }

@@ -32,7 +32,7 @@ func TestFollowerWorkspaceEnforcesPolicies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if err := w.Migrate(`
+	if _, err := w.MigrateNamed("001_users", `
 AddStaticPrincipal(Unauthenticated);
 CreateModel(@principal User {
   create: _ -> [Unauthenticated],
@@ -109,7 +109,7 @@ CreateModel(@principal User {
 
 	// A migration on the primary replicates: the follower's spec (and so
 	// its policies) advances with the data.
-	if err := w.Migrate(`
+	if _, err := w.MigrateNamed("002_notes", `
 CreateModel(Note {
   create: n -> [n.owner],
   delete: n -> [n.owner],

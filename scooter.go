@@ -6,7 +6,7 @@
 // The core workflow mirrors the paper (PLDI 2021):
 //
 //	w := scooter.NewWorkspace()                  // empty spec + database
-//	err := w.Migrate(`CreateModel(@principal User { ... });`)
+//	_, err := w.MigrateNamed("001_users", `CreateModel(@principal User { ... });`)
 //	...
 //	alice := w.AsPrinc(scooter.Instance("User", aliceID))
 //	obj, err := alice.FindByID("User", otherID)  // unreadable fields stripped
@@ -106,7 +106,7 @@ func None() Optional { return store.None() }
 type Options = migrate.Options
 
 // DefaultOptions returns the standard configuration (equivalence tracking
-// on, verification on).
+// on).
 func DefaultOptions() Options { return migrate.DefaultOptions() }
 
 // Workspace ties together the authoritative specification, the database,
@@ -207,7 +207,7 @@ func (w *Workspace) Metrics() *obs.Registry { return w.reg }
 func (w *Workspace) MetricsHandler() http.Handler { return obs.Handler(w.reg) }
 
 // fillObsDefaults points unset observability options at the workspace's
-// own cache, stats and metric sets, so Migrate calls (online backfills
+// own cache, stats and metric sets, so migrations (online backfills
 // included) are observed without callers having to wire anything. A
 // caller's own Stats replaces the workspace's, so its counters then stay
 // out of the registry.
@@ -334,26 +334,6 @@ func LoadSpec(src string) (*Workspace, error) {
 // SpecText renders the current authoritative specification as Scooter_p
 // source. Scooter maintains this file automatically; users never edit it.
 func (w *Workspace) SpecText() string { return specfmt.Format(w.conn.Schema()) }
-
-// Migrate verifies a Scooter_m script against the current specification
-// and, when safe, executes it against the database and updates the
-// specification. Unsafe migrations return an *UnsafeError with a
-// counterexample; nothing executes.
-func (w *Workspace) Migrate(src string) error {
-	w.migMu.Lock()
-	defer w.migMu.Unlock()
-	script, err := parser.ParseMigration(src)
-	if err != nil {
-		return err
-	}
-	opts := migrate.DefaultOptions()
-	w.fillObsDefaults(&opts)
-	after, err := migrate.VerifyAndExecute(w.conn.Schema(), script, w.db, opts)
-	if err != nil {
-		return err
-	}
-	return migrate.Publish(w.conn, after)
-}
 
 // Verify checks a migration script without executing it, returning the
 // plan (with per-command reports) or the verification failure.

@@ -44,7 +44,7 @@ CreateModel(Peep {
 func bootstrapChitter(t testing.TB) *scooter.Workspace {
 	t.Helper()
 	w := scooter.NewWorkspace()
-	if err := w.Migrate(chitterScript); err != nil {
+	if _, err := w.MigrateNamed("001_chitter", chitterScript); err != nil {
 		t.Fatal(err)
 	}
 	return w
@@ -108,27 +108,57 @@ func TestEndToEndEnforcement(t *testing.T) {
 	}
 }
 
+// TestMigrateRejectsLeak runs the §2.1 leaky bio migration through every
+// public way to submit a script. Each rejects it with a counterexample
+// before anything runs: the spec is unchanged and nothing is journaled.
 func TestMigrateRejectsLeak(t *testing.T) {
-	w := bootstrapChitter(t)
-	err := w.Migrate(`
+	const leak = `
 User::AddField(bio : String {
   read: public,
   write: u -> [u]
 }, u -> u.pronouns);
-`)
-	if err == nil {
-		t.Fatal("leaky migration accepted")
-	}
-	var uerr *scooter.UnsafeError
-	if !errors.As(err, &uerr) {
-		t.Fatalf("error type %T", err)
-	}
-	if uerr.Result == nil || uerr.Result.Counterexample == nil {
-		t.Fatal("missing counterexample")
-	}
-	// Schema unchanged: the failed migration had no effect.
-	if strings.Contains(w.SpecText(), "bio") {
-		t.Error("failed migration mutated the spec")
+`
+	online := scooter.DefaultOptions()
+	online.Online = true
+	for _, c := range []struct {
+		name string
+		run  func(*scooter.Workspace) error
+	}{
+		{"MigrateNamed", func(w *scooter.Workspace) error {
+			_, err := w.MigrateNamed("002_bio", leak)
+			return err
+		}},
+		{"MigrateNamedOpts/online", func(w *scooter.Workspace) error {
+			_, err := w.MigrateNamedOpts("002_bio", leak, online)
+			return err
+		}},
+		{"Verify", func(w *scooter.Workspace) error {
+			_, err := w.Verify(leak)
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// A workspace loaded from the spec starts with an empty journal.
+			w, err := scooter.LoadSpec(bootstrapChitter(t).SpecText())
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := w.SpecText()
+			err = c.run(w)
+			var uerr *scooter.UnsafeError
+			if !errors.As(err, &uerr) {
+				t.Fatalf("leaky migration: err = %v (%T), want *UnsafeError", err, err)
+			}
+			if uerr.Result == nil || uerr.Result.Counterexample == nil {
+				t.Fatal("missing counterexample")
+			}
+			if got := w.SpecText(); got != spec {
+				t.Errorf("failed migration changed the spec:\n%s", got)
+			}
+			if got := w.AppliedMigrations(); len(got) != 0 {
+				t.Errorf("failed migration was journaled: %+v", got)
+			}
+		})
 	}
 }
 

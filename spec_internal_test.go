@@ -39,10 +39,4 @@ CreateModel(@principal User {
 	if _, err := w.MigrateNamed("001_init", script); !errors.Is(err, errSpecLost) {
 		t.Fatalf("MigrateNamed with a lost spec write: err = %v, want %v", err, errSpecLost)
 	}
-
-	w = NewWorkspace()
-	w.db.SetDurability(failSpecAppends{})
-	if err := w.Migrate(script); !errors.Is(err, errSpecLost) {
-		t.Fatalf("Migrate with a lost spec write: err = %v, want %v", err, errSpecLost)
-	}
 }
