@@ -583,7 +583,7 @@ func BenchmarkVerdictDBReplay_Cold(b *testing.B) {
 					b.Fatal(err)
 				}
 				opts := migrate.DefaultOptions()
-				opts.VerdictDB = vdb
+				opts.Cache = vdb
 				if _, _, err := study.RunScripts(scripts, opts); err != nil {
 					b.Fatal(err)
 				}
@@ -616,7 +616,7 @@ func BenchmarkVerdictDBReplay_Warm(b *testing.B) {
 				b.Fatal(err)
 			}
 			opts := migrate.DefaultOptions()
-			opts.VerdictDB = vdb
+			opts.Cache = vdb
 			if _, _, err := study.RunScripts(scripts, opts); err != nil {
 				b.Fatal(err)
 			}
@@ -631,7 +631,7 @@ func BenchmarkVerdictDBReplay_Warm(b *testing.B) {
 					b.Fatal(err)
 				}
 				opts := migrate.DefaultOptions()
-				opts.VerdictDB = vdb
+				opts.Cache = vdb
 				opts.Stats = stats
 				if _, _, err := study.RunScripts(scripts, opts); err != nil {
 					b.Fatal(err)

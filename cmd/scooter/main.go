@@ -74,7 +74,6 @@ import (
 	"scooter/internal/specdiff"
 	"scooter/internal/specfmt"
 	"scooter/internal/structspec"
-	"scooter/internal/typer"
 	"scooter/internal/verify"
 )
 
@@ -138,27 +137,6 @@ func fail(stderr io.Writer, err error) int {
 	return 1
 }
 
-// loadSpec reads and checks a spec file; a missing file yields the empty
-// schema so the first migration can bootstrap a project.
-func loadSpec(path string) (*schema.Schema, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return schema.New(), nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	f, err := parser.ParsePolicyFile(string(data))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	s := schema.FromPolicyFile(f)
-	if err := typer.New(s).CheckSchema(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
-}
-
 func cmdVerify(args []string, apply bool, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("verify", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -170,7 +148,7 @@ func cmdVerify(args []string, apply bool, stdout, stderr io.Writer) int {
 	if fs.NArg() == 0 {
 		return fail(stderr, fmt.Errorf("no migration scripts given"))
 	}
-	s, err := loadSpec(*specPath)
+	s, err := specfmt.Load(*specPath)
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -220,7 +198,7 @@ func cmdGen(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	s, err := loadSpec(*specPath)
+	s, err := specfmt.Load(*specPath)
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -245,7 +223,7 @@ func cmdFmt(args []string, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	s, err := loadSpec(*specPath)
+	s, err := specfmt.Load(*specPath)
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -303,13 +281,9 @@ func cmdStruct2Schema(args []string, stdout, stderr io.Writer) int {
 	// Byte-stability gate: the formatted output must re-parse, re-check,
 	// and re-format to the identical bytes. Machine-generated specs are
 	// exactly where a formatter bug would silently corrupt the pipeline.
-	f, err := parser.ParsePolicyFile(text)
+	s2, err := specfmt.Parse(text)
 	if err != nil {
-		return fail(stderr, fmt.Errorf("internal: generated spec does not re-parse: %w", err))
-	}
-	s2 := schema.FromPolicyFile(f)
-	if err := typer.New(s2).CheckSchema(); err != nil {
-		return fail(stderr, fmt.Errorf("internal: generated spec does not re-typecheck: %w", err))
+		return fail(stderr, fmt.Errorf("internal: generated spec does not re-parse and re-check: %w", err))
 	}
 	if text2 := specfmt.Format(s2); text2 != text {
 		return fail(stderr, fmt.Errorf("internal: generated spec is not format-stable"))
@@ -376,7 +350,7 @@ func cmdEquivCheck(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "scooter: equivcheck takes exactly %d script(s) (%d given)\n", want, fs.NArg())
 		return 2
 	}
-	spec, err := loadSpec(*from)
+	spec, err := specfmt.Load(*from)
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -396,7 +370,7 @@ func cmdEquivCheck(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "scooter: verdict store: %v\n", cerr)
 			}
 		}()
-		opts.VerdictDB = vdb
+		opts.Cache = vdb
 	}
 
 	var rep *equivcheck.Report
@@ -447,7 +421,7 @@ func cmdMakeMigration(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "scooter: makemigration needs -from SPEC and exactly one of -to SPEC / -against-structs DIR")
 		return 2
 	}
-	fromSpec, err := loadSpec(*from)
+	fromSpec, err := specfmt.Load(*from)
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -455,7 +429,7 @@ func cmdMakeMigration(args []string, stdout, stderr io.Writer) int {
 	if *againstStructs != "" {
 		toSpec, err = importStructs(*againstStructs, stderr)
 	} else {
-		toSpec, err = loadSpec(*to)
+		toSpec, err = specfmt.Load(*to)
 	}
 	if err != nil {
 		return fail(stderr, err)

@@ -30,12 +30,13 @@
 // run sequentially so the event order is deterministic: two runs over the
 // same scripts produce identical traces modulo the duration_ns field.
 //
-// -verdict-db FILE persists verdicts across runs (and across machines that
-// share the file): verdicts proved once are looked up by the query's
-// alpha-invariant fingerprint, counterexamples included, so a warm replay
-// prints byte-identical output without solving. The store then replaces
-// the verdict cache rather than sitting behind it. A truncated or damaged
-// store degrades to a cold start, never an error.
+// -verdict-db FILE backs the verdict store with a file, so verdicts persist
+// across runs (and across machines that share the file): verdicts proved
+// once are looked up by the query's alpha-invariant fingerprint,
+// counterexamples included, so a warm replay prints byte-identical output
+// without solving. The file-backed store is used instead of a -cache-size
+// one and, like it, keeps a bounded number of verdicts in memory. A
+// truncated or damaged file degrades to a cold start, never an error.
 //
 // -timeout bounds the whole run and -proof-timeout bounds each strictness
 // proof (one budget for all principal kinds of that proof, which are
@@ -67,6 +68,7 @@ import (
 	"scooter/internal/parser"
 	"scooter/internal/schema"
 	"scooter/internal/smt/limits"
+	"scooter/internal/specfmt"
 	"scooter/internal/typer"
 	"scooter/internal/verify"
 )
@@ -103,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	s, err := loadSpec(*specPath)
+	s, err := specfmt.Load(*specPath)
 	if err != nil {
 		fmt.Fprintf(stderr, "sidecar: %v\n", err)
 		return 2
@@ -141,22 +143,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts.SolverConflicts = *solverConflicts
 	opts.Context = ctx
 	opts.ProofTimeout = *proofTimeout
-	// One cache and stats block spans every script on the command line, so
-	// re-proved queries across a whole migration history hit the cache.
-	if *cacheSize > 0 {
-		opts.Cache = verify.NewCache(*cacheSize)
-	}
-	stats := &verify.Stats{}
-	opts.Stats = stats
-	var vdb *verify.VerdictDB
+	// One verdict store and stats block span every script on the command
+	// line, so re-proved queries across a whole migration history hit the
+	// store.
+	var vdb *verify.Cache
 	if *verdictDB != "" {
 		vdb, err = verify.OpenVerdictDB(*verdictDB)
 		if err != nil {
 			fmt.Fprintf(stderr, "sidecar: opening verdict db: %v\n", err)
 			return 2
 		}
-		opts.VerdictDB = vdb
+		opts.Cache = vdb
+	} else if *cacheSize > 0 {
+		opts.Cache = verify.NewCache(*cacheSize)
 	}
+	stats := &verify.Stats{}
+	opts.Stats = stats
 	var traceFile *os.File
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
@@ -301,25 +303,6 @@ func verifyScripts(s *schema.Schema, paths []string, opts migrate.Options, stdou
 		s = plan.After
 	}
 	return 0
-}
-
-func loadSpec(path string) (*schema.Schema, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return schema.New(), nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	f, err := parser.ParsePolicyFile(string(data))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	s := schema.FromPolicyFile(f)
-	if err := typer.New(s).CheckSchema(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
 }
 
 func checkStrictness(s *schema.Schema, model, oldSrc, newSrc string, solverRounds int, solverConflicts int64, lim *limits.Checker, stdout, stderr io.Writer) int {

@@ -10,6 +10,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"scooter/internal/casestudies"
 )
 
 // TestExitCodes pins the CI-facing exit-code contract — 0 safe, 1 unsafe
@@ -196,19 +198,36 @@ User {
 	}
 }
 
-// TestTraceDeterministic runs the visitday corpus (§5.1) twice with
-// -trace and asserts the traces match event for event once duration_ns —
-// the only wall-clock-dependent field — is ignored. -trace forces
-// sequential proofs, so event order is part of the contract.
+// TestTraceDeterministic runs the visitday corpus (§5.1), whose proofs are
+// all Safe, and the §5.2 chitter-moderators incident, whose proofs need
+// several solver rounds, repeatedly with -trace and -stats. The traces
+// must match event for event once duration_ns — the only
+// wall-clock-dependent field — is ignored, and the -stats lines (solver
+// rounds and theory checks included) must match byte for byte. -trace
+// forces sequential proofs, so event order is part of the contract.
 func TestTraceDeterministic(t *testing.T) {
-	scripts := visitdayScripts(t)
+	dir := t.TempDir()
+	var incident casestudies.UnsafeCase
+	for _, c := range casestudies.UnsafeCases() {
+		if c.Key == "chitter-moderators" {
+			incident = c
+		}
+	}
+	spec := filepath.Join(dir, "policy.scp")
+	script := filepath.Join(dir, "m.scm")
+	if err := os.WriteFile(spec, []byte(incident.Spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(script, []byte(incident.Migration), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-	runOnce := func(path string) []map[string]any {
+	runOnce := func(path string, wantCode int, scripts ...string) ([]map[string]any, string) {
 		t.Helper()
 		var stdout, stderr bytes.Buffer
-		args := append([]string{"-trace", path}, scripts...)
-		if code := run(args, &stdout, &stderr); code != 0 {
-			t.Fatalf("exit code %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+		args := append([]string{"-trace", path, "-stats"}, scripts...)
+		if code := run(args, &stdout, &stderr); code != wantCode {
+			t.Fatalf("exit code %d, want %d\nstdout:\n%s\nstderr:\n%s", code, wantCode, stdout.String(), stderr.String())
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -233,17 +252,33 @@ func TestTraceDeterministic(t *testing.T) {
 			delete(ev, "duration_ns")
 			events = append(events, ev)
 		}
-		return events
+		return events, stderr.String()
 	}
 
-	dir := t.TempDir()
-	a := runOnce(filepath.Join(dir, "a.jsonl"))
-	b := runOnce(filepath.Join(dir, "b.jsonl"))
-	if len(a) == 0 {
-		t.Fatal("trace is empty; the corpus should emit one event per proof")
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("traces differ across runs:\nrun A: %d events\nrun B: %d events", len(a), len(b))
+	for _, tc := range []struct {
+		name    string
+		runs    int
+		code    int
+		scripts []string
+	}{
+		{"visitday", 2, 0, visitdayScripts(t)},
+		{"chitter-moderators", 8, 1, []string{"-spec", spec, script}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, aStats := runOnce(filepath.Join(dir, tc.name+"-a.jsonl"), tc.code, tc.scripts...)
+			if len(a) == 0 {
+				t.Fatal("trace is empty; the run should emit one event per proof")
+			}
+			for i := 1; i < tc.runs; i++ {
+				b, bStats := runOnce(filepath.Join(dir, tc.name+"-b.jsonl"), tc.code, tc.scripts...)
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("traces differ across runs:\nrun A: %v\nrun %d: %v", a, i+1, b)
+				}
+				if bStats != aStats {
+					t.Fatalf("-stats differ across runs:\nrun A: %srun %d: %s", aStats, i+1, bStats)
+				}
+			}
+		})
 	}
 }
 

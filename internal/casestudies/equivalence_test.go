@@ -168,13 +168,12 @@ func TestCorpusEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := verify.NewCache(0)
 	vdb, err := verify.OpenVerdictDB(filepath.Join(t.TempDir(), "verdicts.db"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer vdb.Close()
-	opts := equivcheck.Options{Cache: cache, VerdictDB: vdb}
+	opts := equivcheck.Options{Cache: vdb}
 
 	reordered, mutated := 0, 0
 	for _, study := range studies {

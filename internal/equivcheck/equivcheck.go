@@ -25,11 +25,10 @@
 // domains, universes are enumerated up to document renaming, and the total
 // is capped — exceeding the cap yields Inconclusive, never a silent skip.
 //
-// Verdicts flow through the same verdict store as strictness proofs (the
-// persistent verify.VerdictDB when one is attached, else the fingerprint
-// LRU verify.Cache), keyed by a
-// canonical fingerprint of the source spec, both sides, and the bounds, so
-// a warm replay reproduces cold output byte for byte.
+// Verdicts flow through the same verdict store as strictness proofs
+// (verify.Cache, in memory or file-backed), keyed by a canonical
+// fingerprint of the source spec, both sides, and the bounds, so a warm
+// replay reproduces cold output byte for byte.
 package equivcheck
 
 import (
@@ -101,10 +100,9 @@ type Options struct {
 	// never share an entry.
 	Kind string
 	// Cache, when set, memoizes equivalence verdicts alongside strictness
-	// verdicts; VerdictDB, when set, persists them instead. The inner
-	// policy proofs use the same store under their own strictness keys.
-	Cache     *verify.Cache
-	VerdictDB *verify.VerdictDB
+	// verdicts (persisting them when it is file-backed). The inner policy
+	// proofs use the same store under their own strictness keys.
+	Cache *verify.Cache
 }
 
 // Verdict classifies an equivalence check.
@@ -196,11 +194,11 @@ func Check(before *schema.Schema, a, b Side, opts Options) (*Report, error) {
 	}
 
 	key := cacheKey(before, a, b, bound, maxU, rounds, kind)
-	if res, ok := verify.LookupVerdict(opts.Cache, opts.VerdictDB, nil, key); ok {
+	if res, ok := verify.LookupVerdict(opts.Cache, nil, key); ok {
 		return reportFromResult(&res, bound), nil
 	}
 	var stored *verify.Result
-	defer func() { verify.StoreVerdict(opts.Cache, opts.VerdictDB, key, stored) }()
+	defer func() { verify.StoreVerdict(opts.Cache, key, stored) }()
 
 	rep, err := check(before, a, b, bound, maxU, rounds, opts)
 	if err != nil {
@@ -281,7 +279,6 @@ func checkPolicies(a, b Side, rounds int, opts Options, rep *Report) (bool, erro
 	checker := verify.New(a.After, nil)
 	checker.SolverRounds = rounds
 	checker.Cache = opts.Cache
-	checker.Persist = opts.VerdictDB
 
 	type slot struct {
 		model, loc string
@@ -439,8 +436,8 @@ func canonicalSpec(s *schema.Schema) string {
 
 // resultFromReport maps a definitive report onto verify.Result so it can
 // ride the strictness caches. The replay statistics are packed into the
-// (otherwise unused) principal-kind strings — both persist through
-// VerdictDB, so a warm replay reproduces cold output byte for byte.
+// (otherwise unused) principal-kind strings — both persist in a
+// file-backed store, so a warm replay reproduces cold output byte for byte.
 func resultFromReport(rep *Report) verify.Result {
 	res := verify.Result{Incomplete: rep.Incomplete, Counterexample: rep.Counterexample}
 	if rep.Verdict == NotEquivalent {

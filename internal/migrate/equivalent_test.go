@@ -186,13 +186,12 @@ func TestVerifyEquivalentCaching(t *testing.T) {
 	s := equivSchema(t)
 	aSrc := `User::AddField(level: I64 { read: public, write: none }, u -> if u.isAdmin then 2 else 0);`
 	bSrc := `User::AddField(level: I64 { read: public, write: none }, _ -> 0);`
-	cache := verify.NewCache(0)
 	vdbPath := filepath.Join(t.TempDir(), "verdicts.db")
 	vdb, err := verify.OpenVerdictDB(vdbPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := equivcheck.Options{Cache: cache, VerdictDB: vdb}
+	opts := equivcheck.Options{Cache: vdb}
 
 	cold, err := VerifyEquivalent(s, "a.scm", mig(t, aSrc), "b.scm", mig(t, bSrc), opts)
 	if err != nil {
@@ -221,7 +220,7 @@ func TestVerifyEquivalentCaching(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer vdb2.Close()
-	opts2 := equivcheck.Options{Cache: verify.NewCache(0), VerdictDB: vdb2}
+	opts2 := equivcheck.Options{Cache: vdb2}
 	persisted, err := VerifyEquivalent(s, "a.scm", mig(t, aSrc), "b.scm", mig(t, bSrc), opts2)
 	if err != nil {
 		t.Fatal(err)

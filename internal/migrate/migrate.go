@@ -7,6 +7,7 @@
 package migrate
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -33,9 +34,10 @@ type Options struct {
 	// SolverRounds overrides the per-query SMT round budget
 	// (verify.DefaultSolverRounds when 0).
 	SolverRounds int
-	// Cache, when set and VerdictDB is not, memoizes strictness verdicts so
-	// a whole migration history (or a CI fleet replaying many histories)
-	// shares one verdict cache. See verify.NewCache.
+	// Cache, when set, is the verdict store strictness proofs share, so a
+	// whole migration history (or a CI fleet replaying many histories)
+	// proves each query once: in memory (verify.NewCache) or backed by a
+	// file that later runs reuse (verify.OpenVerdictDB).
 	Cache *verify.Cache
 	// Stats, when set, accumulates verification counters across commands.
 	Stats *verify.Stats
@@ -65,11 +67,10 @@ type Options struct {
 	// traced Verify proves in command order, so the events (cache hits
 	// included) come out in a deterministic order.
 	Trace *obs.Tracer
-	// VerdictDB, when set, is the persistent verdict store and replaces
-	// Cache: verdicts are looked up there and appended after every
-	// definitive proof, so a later run (or another machine sharing the
-	// file) skips the solver entirely for already-proved queries.
-	VerdictDB *verify.VerdictDB
+	// VerdictDB, when set, is used in place of Cache. It is kept only
+	// because bench/verify.go sets it, and goes when bench/ moves onto
+	// the bench/api.go adapter (ROADMAP item 4).
+	VerdictDB *verify.Cache
 
 	// Online makes Apply execute backfilling commands (AddField populate)
 	// in bounded, rate-limited batches instead of one stop-the-world sweep
@@ -295,11 +296,10 @@ func newChecker(s *schema.Schema, defs *equiv.Defs, opts Options) *verify.Checke
 		c.SolverRounds = opts.SolverRounds
 	}
 	c.SolverConflicts = opts.SolverConflicts
-	c.Cache = opts.Cache
+	c.Cache = cmp.Or(opts.VerdictDB, opts.Cache)
 	c.Stats = opts.Stats
 	c.Metrics = opts.Metrics
 	c.Trace = opts.Trace
-	c.Persist = opts.VerdictDB
 	return c
 }
 

@@ -1,6 +1,7 @@
 package migrate
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"scooter/internal/specfmt"
 	"scooter/internal/store"
 	"scooter/internal/typer"
+	"scooter/internal/verify"
 )
 
 func loadSchema(t *testing.T, src string) *schema.Schema {
@@ -434,5 +436,45 @@ User::UpdateFieldPolicy(name, {
 `)
 	if err == nil || !strings.Contains(err.Error(), "Blob") {
 		t.Fatalf("blob-referencing policy must be rejected, got %v", err)
+	}
+}
+
+// TestVerdictDBIsTheOnlyStore pins the one-store rule: with both
+// Options.Cache and Options.VerdictDB set, proofs look up and record
+// verdicts in the VerdictDB alone, and the cache is never touched.
+func TestVerdictDBIsTheOnlyStore(t *testing.T) {
+	s := loadSchema(t, chitterBase)
+	d, err := verify.OpenVerdictDB(filepath.Join(t.TempDir(), "verdicts.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	cache := verify.NewCache(0)
+	stats := &verify.Stats{}
+	opts := DefaultOptions()
+	opts.Cache = cache
+	opts.VerdictDB = d
+	opts.Stats = stats
+	script, err := parser.ParseMigration(`User::UpdateFieldReadPolicy(email, u -> [u]);`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, err := Verify(s, script, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := stats.Snapshot()
+	if snap.CacheHits != 0 || snap.CacheMisses != 0 {
+		t.Errorf("cache lookups = %d hit / %d miss, want none", snap.CacheHits, snap.CacheMisses)
+	}
+	if snap.PersistMisses == 0 || snap.PersistHits == 0 {
+		t.Errorf("persist lookups = %d hit / %d miss, want both non-zero", snap.PersistHits, snap.PersistMisses)
+	}
+	if cache.Len() != 0 {
+		t.Errorf("cache holds %d verdicts, want 0", cache.Len())
+	}
+	if d.Len() == 0 {
+		t.Error("verdict store recorded nothing")
 	}
 }

@@ -15,7 +15,7 @@ func FuzzParsePolicyFile(f *testing.F) {
 		"@principal\nM { create: public, delete: none, t: DateTime { read: public, write: m -> M::Find({t < d1-1-2020-00:00:00}) }}",
 		"M { create: public, delete: none, v: I64 { read: public, write: m -> M::Find({v >= -3}) }}",
 		"{{{{", "@", "M {", "M } {", "\"", "d9-9-", "M { create: public, delete: none,",
-		generatedSpecSeed,
+		GeneratedSpecSeed,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -34,7 +34,7 @@ func FuzzParseMigration(f *testing.F) {
 		"X::AddField(y: Option(String) { read: public, write: none }, _ -> None);",
 		"X::WeakenPolicy(create, public, \"why\");",
 		"X::", ";;;", "CreateModel(", "X::AddField(",
-		generatedMigrationSeed,
+		GeneratedMigrationSeed,
 	}
 	for _, s := range seeds {
 		f.Add(s)

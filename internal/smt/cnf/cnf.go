@@ -14,17 +14,24 @@ type Converter struct {
 	Sat *sat.Solver
 
 	lits  map[term.T]sat.Lit
-	atoms map[term.T]sat.Var // theory atoms only
+	atoms []Atom // theory atoms only, in creation order
+}
+
+// Atom is a theory atom (or free boolean constant) and its SAT variable.
+type Atom struct {
+	T term.T
+	V sat.Var
 }
 
 // New returns a converter targeting the given SAT solver.
 func New(b *term.Builder, s *sat.Solver) *Converter {
-	return &Converter{B: b, Sat: s, lits: map[term.T]sat.Lit{}, atoms: map[term.T]sat.Var{}}
+	return &Converter{B: b, Sat: s, lits: map[term.T]sat.Lit{}}
 }
 
-// Atoms returns the mapping from theory atoms (and free boolean constants)
-// to their SAT variables.
-func (c *Converter) Atoms() map[term.T]sat.Var { return c.atoms }
+// Atoms returns the theory atoms (and free boolean constants) with their
+// SAT variables in creation order, so a walk over them visits the same
+// atoms in the same order on every run. The slice must not be modified.
+func (c *Converter) Atoms() []Atom { return c.atoms }
 
 // Assert adds clauses forcing t to be true.
 func (c *Converter) Assert(t term.T) {
@@ -90,7 +97,7 @@ func (c *Converter) Lit(t term.T) sat.Lit {
 	default:
 		// Theory atom (Eq, Le, Lt, boolean Const/App).
 		v := c.Sat.NewVar()
-		c.atoms[t] = v
+		c.atoms = append(c.atoms, Atom{T: t, V: v})
 		l = sat.MkLit(v, false)
 	}
 	c.lits[t] = l

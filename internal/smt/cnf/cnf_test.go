@@ -91,8 +91,8 @@ func TestTseitinEquisatisfiable(t *testing.T) {
 		if got {
 			// The model must satisfy the formula.
 			assign := map[string]bool{}
-			for at, v := range conv.Atoms() {
-				assign[b.Name(at)] = s.Value(v)
+			for _, at := range conv.Atoms() {
+				assign[b.Name(at.T)] = s.Value(at.V)
 			}
 			if !evalTerm(b, f, assign) {
 				t.Fatalf("iter %d: model does not satisfy %s", iter, b.String(f))
@@ -123,10 +123,8 @@ func TestAtomRegistry(t *testing.T) {
 	atom := b.Le(x, b.IntLit(3))
 	other := b.Lt(x, b.IntLit(0))
 	conv.Assert(b.Or(atom, other))
-	if _, ok := conv.Atoms()[atom]; !ok {
-		t.Fatal("theory atom must be registered")
-	}
-	if _, ok := conv.Atoms()[other]; !ok {
-		t.Fatal("second theory atom must be registered")
+	atoms := conv.Atoms()
+	if len(atoms) != 2 || atoms[0].T != atom || atoms[1].T != other {
+		t.Fatalf("atoms = %v, want [%v %v] in creation order", atoms, atom, other)
 	}
 }

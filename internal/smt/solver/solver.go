@@ -205,9 +205,9 @@ func (s *Solver) SATRestarts() int64 {
 func (s *Solver) assignment() []tlit {
 	atoms := s.conv.Atoms()
 	lits := make([]tlit, 0, len(atoms))
-	for at, v := range atoms {
-		if s.isTheoryAtom(at) {
-			lits = append(lits, tlit{atom: at, val: s.sat.Value(v)})
+	for _, at := range atoms {
+		if s.isTheoryAtom(at.T) {
+			lits = append(lits, tlit{atom: at.T, val: s.sat.Value(at.V)})
 		}
 	}
 	return lits
@@ -229,9 +229,8 @@ func (s *Solver) isTheoryAtom(t term.T) bool {
 // blocked assignment is theory-infeasible (or admits no joint model).
 func (s *Solver) blockLits(lits []tlit) {
 	clause := make([]sat.Lit, len(lits))
-	atoms := s.conv.Atoms()
 	for i, l := range lits {
-		clause[i] = sat.MkLit(atoms[l.atom], l.val) // negated literal
+		clause[i] = sat.MkLit(s.conv.Lit(l.atom).Var(), l.val) // negated literal
 	}
 	s.sat.AddClause(clause...)
 }
@@ -241,11 +240,11 @@ func (s *Solver) blockLits(lits []tlit) {
 // (a=b) -> not(b<a). This lets the simplex engine see a strict inequality
 // whenever an equality is assigned false, avoiding disequality handling.
 func (s *Solver) addArithEqualitySplits() {
-	// Copy atom set first: creating Lt atoms extends the map.
+	// Collect the equalities first: creating Lt atoms extends the atoms.
 	var eqs []term.T
-	for at := range s.conv.Atoms() {
-		if s.B.Op(at) == term.OpEq && s.isArithSort(s.B.SortOf(s.B.Args(at)[0])) {
-			eqs = append(eqs, at)
+	for _, at := range s.conv.Atoms() {
+		if s.B.Op(at.T) == term.OpEq && s.isArithSort(s.B.SortOf(s.B.Args(at.T)[0])) {
+			eqs = append(eqs, at.T)
 		}
 	}
 	for _, eq := range eqs {

@@ -1,15 +1,51 @@
-// Package specfmt renders a schema back to Scooter_p source text — the
+// Package specfmt reads and writes Scooter_p source text — the
 // authoritative specification file that Scooter maintains automatically as
-// migrations run (paper §3). The output round-trips through the parser.
+// migrations run (paper §3). Format renders a schema and Parse reads one
+// back; the output of Format round-trips through Parse.
 package specfmt
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"strings"
 
 	"scooter/internal/ast"
+	"scooter/internal/parser"
 	"scooter/internal/schema"
+	"scooter/internal/typer"
 )
+
+// Parse is the inverse of Format: it parses spec text into a schema and
+// type-checks it. Empty text is the empty spec.
+func Parse(src string) (*schema.Schema, error) {
+	f, err := parser.ParsePolicyFile(src)
+	if err != nil {
+		return nil, err
+	}
+	s := schema.FromPolicyFile(f)
+	if err := typer.New(s).CheckSchema(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Load parses the spec file at path. A missing file is the empty spec, so
+// the first migration of a project can bootstrap it.
+func Load(path string) (*schema.Schema, error) {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return schema.New(), nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	s, err := Parse(string(data))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, nil
+}
 
 // Format renders the schema as a Scooter_p policy file.
 func Format(s *schema.Schema) string {
@@ -17,10 +53,7 @@ func Format(s *schema.Schema) string {
 	for _, st := range s.Statics {
 		fmt.Fprintf(&sb, "@static-principal\n%s\n\n", st)
 	}
-	for i, m := range s.Models {
-		if i > 0 || len(s.Statics) > 0 {
-			// Blank line already follows statics; keep models separated.
-		}
+	for _, m := range s.Models {
 		writeModel(&sb, m)
 		sb.WriteString("\n")
 	}

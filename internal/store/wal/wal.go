@@ -4,8 +4,8 @@
 //
 // Every store mutation is appended as a binary record before the write is
 // acknowledged. A committer goroutine batches concurrent writers into one
-// write + fsync (group commit); SyncEvery/SyncInterval trade durability
-// for throughput. Open replays the latest snapshot plus the live log,
+// write + fsync (group commit); SyncEvery trades durability for
+// throughput. Open replays the latest snapshot plus the live log,
 // truncating a torn tail at the first bad record, so the recovered store
 // always equals a prefix of the committed write history. Compact folds the
 // live log into a fresh snapshot at a consistent cut and prunes old
@@ -39,13 +39,10 @@ type Options struct {
 	//	1 (or 0, the default): every acknowledged write is fsynced before
 	//	  its wait returns; concurrent writers share one fsync.
 	//	N > 1: the committer fsyncs after N unsynced records or after
-	//	  SyncInterval, whichever comes first; waits return once the
+	//	  syncInterval, whichever comes first; waits return once the
 	//	  record reaches the OS, so a crash may lose the last window.
 	//	< 0: fsync only on rotation, Sync, and Close.
 	SyncEvery int
-	// SyncInterval bounds how long a record stays unsynced when
-	// SyncEvery > 1 (default 10ms).
-	SyncInterval time.Duration
 	// SegmentMaxBytes rotates to a new segment file once the current one
 	// exceeds it (default 16 MiB).
 	SegmentMaxBytes int64
@@ -71,9 +68,6 @@ func (o Options) withDefaults() Options {
 	if o.SyncEvery == 0 {
 		o.SyncEvery = 1
 	}
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = 10 * time.Millisecond
-	}
 	if o.SegmentMaxBytes <= 0 {
 		o.SegmentMaxBytes = 16 << 20
 	}
@@ -85,6 +79,9 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// syncInterval bounds how long a record stays unsynced when SyncEvery > 1.
+const syncInterval = 10 * time.Millisecond
 
 // strict reports whether waits require an fsync before returning.
 func (o Options) strict() bool { return o.SyncEvery >= 0 && o.SyncEvery <= 1 }
@@ -351,7 +348,7 @@ func (l *Log) run() {
 	defer l.wg.Done()
 	var tick <-chan time.Time
 	if l.opts.SyncEvery > 1 {
-		t := time.NewTicker(l.opts.SyncInterval)
+		t := time.NewTicker(syncInterval)
 		defer t.Stop()
 		tick = t.C
 	}
@@ -483,7 +480,7 @@ func (l *Log) applySyncPolicy(force bool) {
 		need = l.durableBehind()
 	case l.opts.SyncEvery > 1:
 		need = l.unsyncedRecs >= l.opts.SyncEvery ||
-			(l.unsyncedRecs > 0 && time.Since(l.lastSync) >= l.opts.SyncInterval)
+			(l.unsyncedRecs > 0 && time.Since(l.lastSync) >= syncInterval)
 	}
 	if !need {
 		return

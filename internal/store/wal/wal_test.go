@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"scooter/internal/obs"
 	"scooter/internal/store"
@@ -126,7 +125,7 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 
 func TestRelaxedSyncModes(t *testing.T) {
 	for _, opts := range []Options{
-		{SyncEvery: 50, SyncInterval: time.Millisecond},
+		{SyncEvery: 50},
 		{SyncEvery: -1},
 	} {
 		dir := t.TempDir()

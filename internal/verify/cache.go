@@ -3,6 +3,7 @@ package verify
 import (
 	"container/list"
 	"hash/fnv"
+	"os"
 	"sort"
 	"sync"
 
@@ -29,10 +30,12 @@ type CacheKey struct {
 	Rounds int
 }
 
-// Cache is a concurrency-safe, bounded LRU verdict cache. Violation
-// entries retain the rendered counterexample, so a warm cache reproduces
-// cold verification byte for byte. The zero value is not usable; call
-// NewCache.
+// Cache is the verifier's one verdict store: a concurrency-safe, bounded
+// LRU keyed by CacheKey. Violation entries retain the rendered
+// counterexample, so a warm cache reproduces cold verification byte for
+// byte. A Cache from OpenVerdictDB is also backed by an append-only file,
+// so its verdicts outlive the process. The zero value is not usable; call
+// NewCache or OpenVerdictDB.
 type Cache struct {
 	mu  sync.Mutex
 	cap int
@@ -41,6 +44,12 @@ type Cache struct {
 
 	evictions int64
 	flights   inflight
+
+	// f is the verdict file backing the cache (nil in memory only); set
+	// before the cache is shared and never changed after.
+	f        *os.File
+	writeErr error
+	corrupt  int64
 }
 
 type cacheEntry struct {
@@ -48,8 +57,8 @@ type cacheEntry struct {
 	res Result
 }
 
-// NewCache returns a verdict cache holding at most capacity entries
-// (DefaultCacheCapacity when capacity <= 0).
+// NewCache returns an in-memory verdict cache holding at most capacity
+// entries (DefaultCacheCapacity when capacity <= 0).
 func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
@@ -87,7 +96,8 @@ func (c *Cache) Lookup(key CacheKey) (Result, bool) {
 }
 
 // Insert stores res under key, evicting the least recently used entry
-// when the cache is full. Inconclusive results are not admitted: which
+// when the cache is full, and appends a new key's verdict to the backing
+// file when there is one. Inconclusive results are not admitted: which
 // budget ran out (deadline, conflicts, pivots) depends on the run, and a
 // cached Unknown would shadow a later retry under a larger budget whose
 // key matches.
@@ -97,10 +107,18 @@ func (c *Cache) Insert(key CacheKey, res Result) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.put(key, res) && c.f != nil {
+		c.appendRecord(key, res)
+	}
+}
+
+// put stores res under key in memory and reports whether key was new.
+// The caller holds c.mu (or owns a cache not yet shared).
+func (c *Cache) put(key CacheKey, res Result) bool {
 	if el, ok := c.m[key]; ok {
 		el.Value.(*cacheEntry).res = res
 		c.ll.MoveToFront(el)
-		return
+		return false
 	}
 	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, res: res})
 	for c.ll.Len() > c.cap {
@@ -109,6 +127,7 @@ func (c *Cache) Insert(key CacheKey, res Result) {
 		delete(c.m, last.Value.(*cacheEntry).key)
 		c.evictions++
 	}
+	return true
 }
 
 // inflight holds one entry per key whose proof is being solved, so a
@@ -145,9 +164,9 @@ func (f *inflight) finish(key CacheKey) {
 	}
 }
 
-// LookupVerdict answers key from the one verdict store a proof uses: db
-// when it is attached, else cache (either may be nil). The lookup is
-// counted in st (nil-safe) under that store's tier.
+// LookupVerdict answers key from store (nil-safe). The lookup is counted
+// in st (nil-safe) under the store's tier: persist when it is file-backed,
+// else cache.
 //
 // A miss makes the caller the solver of key, and it must call
 // StoreVerdict for key once it is done (defer it, so a failed or
@@ -155,55 +174,43 @@ func (f *inflight) finish(key CacheKey) {
 // waits for that proof and counts as a hit; if the proof ends without a
 // storable verdict (Inconclusive, an error), one waiter becomes the next
 // solver and proves the key under its own budget.
-func LookupVerdict(cache *Cache, db *VerdictDB, st *Stats, key CacheKey) (Result, bool) {
-	var lookup func(CacheKey) (Result, bool)
-	var flights *inflight
-	switch {
-	case db != nil:
-		lookup, flights = db.Lookup, &db.flights
-	case cache != nil:
-		lookup, flights = cache.Lookup, &cache.flights
-	default:
+func LookupVerdict(store *Cache, st *Stats, key CacheKey) (Result, bool) {
+	if store == nil {
 		return Result{}, false
 	}
+	persist := store.f != nil
 	for {
-		if res, ok := lookup(key); ok {
-			st.recordLookup(db != nil, true)
+		if res, ok := store.Lookup(key); ok {
+			st.recordLookup(persist, true)
 			return res, true
 		}
-		wait := flights.claim(key)
+		wait := store.flights.claim(key)
 		if wait == nil {
 			// A solver may have stored the verdict and finished between
 			// the lookup and the claim.
-			if res, ok := lookup(key); ok {
-				flights.finish(key)
-				st.recordLookup(db != nil, true)
+			if res, ok := store.Lookup(key); ok {
+				store.flights.finish(key)
+				st.recordLookup(persist, true)
 				return res, true
 			}
-			st.recordLookup(db != nil, false)
+			st.recordLookup(persist, false)
 			return Result{}, false
 		}
 		<-wait
 	}
 }
 
-// StoreVerdict records res under key in the store LookupVerdict reads:
-// db when it is attached, else cache (either may be nil). A nil res, and
+// StoreVerdict records res under key in store (nil-safe). A nil res, and
 // an Inconclusive one, store nothing. Either way the caller's claim on key
 // ends and proofs waiting for it resume.
-func StoreVerdict(cache *Cache, db *VerdictDB, key CacheKey, res *Result) {
-	switch {
-	case db != nil:
-		if res != nil {
-			db.Put(key, *res)
-		}
-		db.flights.finish(key)
-	case cache != nil:
-		if res != nil {
-			cache.Insert(key, *res)
-		}
-		cache.flights.finish(key)
+func StoreVerdict(store *Cache, key CacheKey, res *Result) {
+	if store == nil {
+		return
 	}
+	if res != nil {
+		store.Insert(key, *res)
+	}
+	store.flights.finish(key)
 }
 
 // QueryKey derives the cache key for a lowered leakage query under the

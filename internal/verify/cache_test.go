@@ -213,20 +213,20 @@ func TestInconclusiveProofHandsKeyOn(t *testing.T) {
 	c := NewCache(8)
 	st := &Stats{}
 	k := key(1)
-	if _, ok := LookupVerdict(c, nil, st, k); ok {
+	if _, ok := LookupVerdict(c, st, k); ok {
 		t.Fatal("hit on an empty cache")
 	}
 	second := make(chan bool)
 	go func() {
-		_, ok := LookupVerdict(c, nil, st, k)
+		_, ok := LookupVerdict(c, st, k)
 		second <- ok
 	}()
-	StoreVerdict(c, nil, k, &Result{Verdict: Inconclusive})
+	StoreVerdict(c, k, &Result{Verdict: Inconclusive})
 	if <-second {
 		t.Fatal("a waiter was answered from an Inconclusive proof")
 	}
-	StoreVerdict(c, nil, k, &Result{Verdict: Safe})
-	if res, ok := LookupVerdict(c, nil, st, k); !ok || res.Verdict != Safe {
+	StoreVerdict(c, k, &Result{Verdict: Safe})
+	if res, ok := LookupVerdict(c, st, k); !ok || res.Verdict != Safe {
 		t.Fatalf("after the second proof: (%v, %v), want (Safe, true)", res.Verdict, ok)
 	}
 	if snap := st.Snapshot(); snap.CacheMisses != 2 || snap.CacheHits != 1 {

@@ -3,38 +3,26 @@ package verify
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"sync"
 
 	"scooter/internal/lower"
 	"scooter/internal/store/wal"
 )
 
-// VerdictDB is a persistent, shareable verdict store: the on-disk
-// alternative to the in-memory Cache. When one is attached it is a proof's
-// only verdict store (see LookupVerdict). Verdicts are keyed by the same
-// alpha-invariant CacheKey, so a database written by one sidecar run
-// answers for any later run (or any other checkout of the same spec
-// history) whose queries lower to the same formulas. Violation entries retain the fully rendered
+// A verdict file is what OpenVerdictDB backs a Cache with, so verdicts
+// outlive the process. Verdicts are keyed by the same alpha-invariant
+// CacheKey, so a file written by one sidecar run answers for any later run
+// (or any other checkout of the same spec history) whose queries lower to
+// the same formulas. Violation entries retain the fully rendered
 // counterexample — a warm replay reproduces cold output byte for byte.
 //
-// The file format is an 8-byte magic header followed by append-only records
-// in the WAL's frame layout ([len][crc32c][payload], wal.EncodeFrame). A
-// torn tail — the footprint of a crash mid-append — is truncated away on
-// open, and a CRC-valid record whose payload fails to decode is skipped and
-// counted, never fatal: a damaged cache degrades to a cold start, it does
+// The format is an 8-byte magic header followed by append-only records in
+// the WAL's frame layout ([len][crc32c][payload], wal.EncodeFrame). A torn
+// tail — the footprint of a crash mid-append — is truncated away on open,
+// and a CRC-valid record whose payload fails to decode is skipped and
+// counted, never fatal: a damaged file degrades to a cold start, it does
 // not block verification.
-//
-// All methods are safe for concurrent use.
-type VerdictDB struct {
-	mu       sync.Mutex
-	f        *os.File
-	m        map[CacheKey]Result
-	writeErr error
-	flights  inflight
-
-	corrupt int64
-}
 
 // verdictMagic identifies a verdict-store file (and its format version).
 const verdictMagic = "SCVDB001"
@@ -254,35 +242,41 @@ func decodeRecord(payload []byte) (CacheKey, Result, error) {
 	return key, res, nil
 }
 
-// OpenVerdictDB opens (creating if absent) the verdict store at path and
-// loads every intact record. A torn tail is truncated; a file whose header
-// is unrecognised is reset to empty rather than rejected — the store is a
-// cache, and the worst a damaged one may cost is re-proving.
-func OpenVerdictDB(path string) (*VerdictDB, error) {
+// OpenVerdictDB opens (creating if absent) the verdict file at path and
+// returns a Cache of DefaultCacheCapacity backed by it. Records load in
+// file order through the cache's insert path, so when the file holds more
+// verdicts than fit, the last-written ones stay. A torn tail is truncated;
+// a file whose header is unrecognised is reset to empty rather than
+// rejected — the store is a cache, and the worst a damaged one may cost is
+// re-proving.
+func OpenVerdictDB(path string) (*Cache, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	d := &VerdictDB{f: f, m: map[CacheKey]Result{}}
-	buf, err := os.ReadFile(path)
-	if err != nil {
+	c := NewCache(DefaultCacheCapacity)
+	if err := c.load(f); err != nil {
 		f.Close()
 		return nil, err
 	}
+	c.f = f
+	return c, nil
+}
+
+// load reads f's intact records into c and leaves f positioned for the
+// next append.
+func (c *Cache) load(f *os.File) error {
+	buf, err := io.ReadAll(f)
+	if err != nil {
+		return err
+	}
 	if len(buf) == 0 {
-		if _, err := f.Write([]byte(verdictMagic)); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return d, nil
+		_, err := f.Write([]byte(verdictMagic))
+		return err
 	}
 	if len(buf) < len(verdictMagic) || string(buf[:len(verdictMagic)]) != verdictMagic {
-		d.corrupt++
-		if err := d.reset(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return d, nil
+		c.corrupt++
+		return reset(f)
 	}
 	good, clean := wal.ScanFrames(buf, int64(len(verdictMagic)), func(payload []byte) bool {
 		key, res, derr := decodeRecord(payload)
@@ -290,109 +284,71 @@ func OpenVerdictDB(path string) (*VerdictDB, error) {
 			// The frame survived its checksum but the payload is not a
 			// record we understand (version skew, bit rot inside a valid
 			// CRC). Skip it; later records are still framed correctly.
-			d.corrupt++
+			c.corrupt++
 			return true
 		}
-		d.m[key] = res
+		c.put(key, res)
 		return true
 	})
 	if !clean {
 		// Crash mid-append: drop the torn tail so the next append starts on
 		// a frame boundary.
-		d.corrupt++
+		c.corrupt++
 		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return nil, err
+			return err
 		}
 	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return d, nil
-}
-
-// reset empties the file down to a bare header.
-func (d *VerdictDB) reset() error {
-	if err := d.f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := d.f.Seek(0, 0); err != nil {
-		return err
-	}
-	_, err := d.f.Write([]byte(verdictMagic))
+	_, err = f.Seek(0, io.SeekEnd)
 	return err
 }
 
-// Lookup returns the persisted result for key. The Counterexample pointer
-// is shared and must be treated as read-only.
-func (d *VerdictDB) Lookup(key CacheKey) (Result, bool) {
-	if d == nil {
-		return Result{}, false
+// reset empties f down to a bare header.
+func reset(f *os.File) error {
+	if err := f.Truncate(0); err != nil {
+		return err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	res, ok := d.m[key]
-	return res, ok
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return err
+	}
+	_, err := f.Write([]byte(verdictMagic))
+	return err
 }
 
-// Put persists res under key. Inconclusive results are not admitted (same
-// rule as Cache.Insert: which budget ran out depends on the run). Writes
-// are best-effort — an append failure is remembered and reported by Close,
-// never surfaced on the verification hot path.
-func (d *VerdictDB) Put(key CacheKey, res Result) {
-	if d == nil || res.Verdict == Inconclusive {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.m[key]; ok {
-		return
-	}
-	d.m[key] = res
+// appendRecord writes one record to the backing file. Writes are
+// best-effort — a failure is remembered and reported by Close, never
+// surfaced on the verification hot path. The caller holds c.mu.
+func (c *Cache) appendRecord(key CacheKey, res Result) {
 	payload, err := encodeRecord(key, res)
-	if err != nil {
-		if d.writeErr == nil {
-			d.writeErr = err
-		}
-		return
+	if err == nil {
+		_, err = c.f.Write(wal.EncodeFrame(payload))
 	}
-	if _, err := d.f.Write(wal.EncodeFrame(payload)); err != nil && d.writeErr == nil {
-		d.writeErr = err
+	if err != nil && c.writeErr == nil {
+		c.writeErr = err
 	}
-}
-
-// Len returns the number of persisted verdicts.
-func (d *VerdictDB) Len() int {
-	if d == nil {
-		return 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.m)
 }
 
 // Corrupt reports the corrupt records skipped (or tails truncated) while
-// loading. Lookups are counted in Stats, not here.
-func (d *VerdictDB) Corrupt() int64 {
-	if d == nil {
+// loading the backing file. Nil-safe. Lookups are counted in Stats, not
+// here.
+func (c *Cache) Corrupt() int64 {
+	if c == nil {
 		return 0
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.corrupt
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.corrupt
 }
 
-// Close flushes and closes the store, returning the first append error if
-// any write failed.
-func (d *VerdictDB) Close() error {
-	if d == nil {
+// Close closes the backing file, returning the first append error if any
+// write failed. Nil-safe; a no-op on an in-memory cache.
+func (c *Cache) Close() error {
+	if c == nil || c.f == nil {
 		return nil
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	werr := d.writeErr
-	if err := d.f.Close(); err != nil && werr == nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	werr := c.writeErr
+	if err := c.f.Close(); err != nil && werr == nil {
 		werr = err
 	}
 	return werr

@@ -23,7 +23,7 @@ func FuzzVerdictDB(f *testing.F) {
 		f.Fatal(err)
 	}
 	c := New(s, nil)
-	c.Persist = d
+	c.Cache = d
 	for _, pair := range [][2]string{{`public`, `u -> [u]`}, {`u -> [u]`, `public`}} {
 		if _, err := c.CheckStrictness("User",
 			policyOn(f, s, "User", pair[0]), policyOn(f, s, "User", pair[1])); err != nil {
@@ -71,7 +71,8 @@ func checkVerdictFile(t *testing.T, path string, data []byte) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	for key, res := range d.m {
+	for el := d.ll.Front(); el != nil; el = el.Next() {
+		key, res := el.Value.(*cacheEntry).key, el.Value.(*cacheEntry).res
 		payload, err := encodeRecord(key, res)
 		if err != nil {
 			t.Fatalf("encode loaded verdict: %v", err)

@@ -42,6 +42,9 @@ func sampleViolation() Result {
 	}
 }
 
+// Put is Insert under the name the verdict-file tests below use.
+func (c *Cache) Put(key CacheKey, res Result) { c.Insert(key, res) }
+
 func TestVerdictDBRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "verdicts.db")
 	d, err := OpenVerdictDB(path)
@@ -192,7 +195,7 @@ func TestVerdictDBBadHeaderResets(t *testing.T) {
 }
 
 // TestCheckerPersistsAndReplays drives real strictness checks through a
-// checker with a VerdictDB: run one, reopen the store, run two — the
+// checker whose verdict store is file-backed: run one, reopen the store, run two — the
 // second run must answer from disk without solving and report identical
 // results, counterexample text included.
 func TestCheckerPersistsAndReplays(t *testing.T) {
@@ -208,7 +211,7 @@ func TestCheckerPersistsAndReplays(t *testing.T) {
 		defer d.Close()
 		stats := &Stats{}
 		c := New(s, nil)
-		c.Persist = d
+		c.Cache = d
 		c.Stats = stats
 		var results []*Result
 		// A safe tightening and an unsafe widening: one of each verdict.
@@ -258,39 +261,35 @@ func TestCheckerPersistsAndReplays(t *testing.T) {
 	}
 }
 
-// TestVerdictDBIsTheOnlyStore pins the one-store rule: with both a Cache
-// and a VerdictDB attached, proofs look up and record verdicts in the
-// VerdictDB alone, and the cache is never touched.
-func TestVerdictDBIsTheOnlyStore(t *testing.T) {
-	s := loadSchema(t, chitterSchema)
-	d, err := OpenVerdictDB(filepath.Join(t.TempDir(), "verdicts.db"))
+// TestVerdictDBBoundedInMemory opens a file holding more verdicts than the
+// cache's capacity: the store keeps at most DefaultCacheCapacity of them in
+// memory, the last-written ones, and the newest still answers.
+func TestVerdictDBBoundedInMemory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v.db")
+	d, err := OpenVerdictDB(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	cache := NewCache(0)
-	stats := &Stats{}
-	c := New(s, nil)
-	c.Cache = cache
-	c.Persist = d
-	c.Stats = stats
-	for range 2 {
-		if _, err := c.CheckStrictness("User",
-			policyOn(t, s, "User", `u -> [u]`), policyOn(t, s, "User", `public`)); err != nil {
-			t.Fatal(err)
-		}
+	const n = DefaultCacheCapacity + 10
+	for i := uint64(0); i < n; i++ {
+		d.Insert(pkey(i), Result{Verdict: Safe})
 	}
-	snap := stats.Snapshot()
-	if snap.CacheHits != 0 || snap.CacheMisses != 0 {
-		t.Errorf("cache lookups = %d hit / %d miss, want none", snap.CacheHits, snap.CacheMisses)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if snap.PersistMisses == 0 || snap.PersistHits == 0 {
-		t.Errorf("persist lookups = %d hit / %d miss, want both non-zero", snap.PersistHits, snap.PersistMisses)
+
+	d2, err := OpenVerdictDB(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cache.Len() != 0 {
-		t.Errorf("cache holds %d verdicts, want 0", cache.Len())
+	defer d2.Close()
+	if d2.Len() > DefaultCacheCapacity {
+		t.Fatalf("Len = %d, want at most %d", d2.Len(), DefaultCacheCapacity)
 	}
-	if d.Len() == 0 {
-		t.Error("verdict store recorded nothing")
+	if _, ok := d2.Lookup(pkey(n - 1)); !ok {
+		t.Fatal("newest verdict missing after reopen")
+	}
+	if _, ok := d2.Lookup(pkey(0)); ok {
+		t.Fatal("oldest verdict kept past the capacity bound")
 	}
 }

@@ -7,8 +7,8 @@ import (
 
 // Stats aggregates verification counters across every query routed through
 // a Checker (or a whole migration history, when shared via
-// migrate.Options). It is the one counter set of the verifier: the stores
-// count only evictions and corrupt records, and a Workspace exports its
+// migrate.Options). It is the one counter set of the verifier: the store
+// counts only evictions and corrupt records, and a Workspace exports its
 // Prometheus verifier and solver counters from a Stats snapshot. One
 // mutex guards the whole block so a Snapshot is always internally
 // consistent — recordSolve bumps several related counters, and per-field
@@ -23,11 +23,9 @@ type Stats struct {
 
 // Snapshot is a point-in-time copy of Stats, safe to compare and print.
 type Snapshot struct {
-	// A proof looks its verdict up in one store: the VerdictDB when one is
-	// attached, else the Cache. CacheHits / CacheMisses count Cache
-	// lookups; PersistHits / PersistMisses count VerdictDB lookups. Only
-	// the store the checker uses counts, so with a VerdictDB attached the
-	// cache counters stay zero.
+	// A proof looks its verdict up in its one store. CacheHits /
+	// CacheMisses count lookups in an in-memory store; PersistHits /
+	// PersistMisses count lookups in a file-backed one (OpenVerdictDB).
 	CacheHits, CacheMisses     int64
 	PersistHits, PersistMisses int64
 	// QueriesSolved counts leakage queries actually handed to the SMT
@@ -92,8 +90,8 @@ func (s *Stats) recordSolve(rounds, theoryChecks int, conflicts, decisions, prop
 	s.snap.Restarts += restarts
 }
 
-// recordLookup counts one verdict-store lookup under its tier: the
-// persistent store when persist is set, else the memory cache. Nil-safe.
+// recordLookup counts one verdict-store lookup under its tier: a
+// file-backed store when persist is set, else an in-memory one. Nil-safe.
 func (s *Stats) recordLookup(persist, hit bool) {
 	if s == nil {
 		return

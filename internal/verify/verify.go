@@ -80,14 +80,11 @@ type Checker struct {
 	// check. A nil checker never expires. Expiry yields Inconclusive, not
 	// an error: a timed-out proof is an Unknown verdict, not a failure.
 	Limits *limits.Checker
-	// Cache, when set and Persist is not, memoizes verdicts keyed by the
-	// query's canonical fingerprint (alpha-equivalent queries share an
-	// entry). Violation entries retain the rendered counterexample.
+	// Cache, when set, is the proof's verdict store, keyed by the query's
+	// canonical fingerprint (alpha-equivalent queries share an entry):
+	// consulted before solving and written after every definitive
+	// verdict. Violation entries retain the rendered counterexample.
 	Cache *Cache
-	// Persist, when set, is the proof's one verdict store in place of
-	// Cache: consulted before solving and appended to after every
-	// definitive verdict. Cache is then neither read nor written.
-	Persist *VerdictDB
 	// Stats, when set, accumulates store-lookup and solver counters.
 	Stats *Stats
 	// Metrics, when set, observes each proof (count, wall time, Unknown
@@ -159,15 +156,15 @@ func (c *Checker) checkKind(dstModel string, dstRead ast.Policy, srcModel string
 		return nil, fmt.Errorf("lowering flow %s -> %s for principal kind %s: %w", srcModel, dstModel, kind, err)
 	}
 	var key CacheKey
-	if c.Cache != nil || c.Persist != nil || c.Trace != nil {
+	if c.Cache != nil || c.Trace != nil {
 		key = QueryKey(q, c.SolverRounds)
 	}
-	if res, ok := LookupVerdict(c.Cache, c.Persist, c.Stats, key); ok {
+	if res, ok := LookupVerdict(c.Cache, c.Stats, key); ok {
 		c.observeProof(key, kind, &res, true, nil, start)
 		return &res, nil
 	}
 	var res *Result
-	defer func() { StoreVerdict(c.Cache, c.Persist, key, res) }()
+	defer func() { StoreVerdict(c.Cache, key, res) }()
 	if ex := c.Limits.Expired(); ex != nil {
 		// The budget was gone before solving started; report it without
 		// spinning up a solver.

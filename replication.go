@@ -37,18 +37,6 @@ type (
 // state mirrors the primary's log; local writes would diverge from it.
 var ErrReadOnly = orm.ErrReadOnly
 
-// parseSpec builds a checked schema from stored specification text.
-func parseSpec(text string) (*schema.Schema, error) {
-	if text == "" {
-		return schema.New(), nil
-	}
-	w, err := LoadSpec(text)
-	if err != nil {
-		return nil, err
-	}
-	return w.conn.Schema(), nil
-}
-
 // ServeReplication starts streaming this workspace's write-ahead log to
 // followers on addr (e.g. ":7070", or "127.0.0.1:0" for an ephemeral
 // port). Only durable workspaces replicate. The server is closed with the
@@ -188,7 +176,7 @@ func (fw *FollowerWorkspace) refresh() error {
 	if fw.conn != nil && db == fw.db && text == fw.specText {
 		return nil
 	}
-	s, err := parseSpec(text)
+	s, err := specfmt.Parse(text)
 	if err != nil {
 		return err
 	}

@@ -320,12 +320,8 @@ func (w *Workspace) Replayed() int {
 // LoadSpec returns a workspace whose specification is parsed from Scooter_p
 // source — e.g. a previously saved SpecText.
 func LoadSpec(src string) (*Workspace, error) {
-	f, err := parser.ParsePolicyFile(src)
+	s, err := specfmt.Parse(src)
 	if err != nil {
-		return nil, err
-	}
-	s := schema.FromPolicyFile(f)
-	if err := typer.New(s).CheckSchema(); err != nil {
 		return nil, err
 	}
 	return newWorkspace(s, store.Open(), nil), nil

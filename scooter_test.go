@@ -362,8 +362,8 @@ func metricValue(t *testing.T, w *scooter.Workspace, name string) float64 {
 
 // TestWorkspaceMetricsReadStats checks that the registry's verifier and
 // solver counters come from the workspace's one verify.Stats: a migration
-// verified against a verdict store shows up as store misses and solves,
-// and as no cache traffic, because the store replaces the cache.
+// verified against a file-backed verdict store shows up as persist misses
+// and solves, and as no in-memory cache traffic.
 func TestWorkspaceMetricsReadStats(t *testing.T) {
 	w := bootstrapChitter(t)
 	vdb, err := verify.OpenVerdictDB(filepath.Join(t.TempDir(), "verdicts.db"))
@@ -381,7 +381,7 @@ func TestWorkspaceMetricsReadStats(t *testing.T) {
 	for _, n := range names {
 		before[n] = metricValue(t, w, n)
 	}
-	opts := scooter.Options{TrackEquivalences: true, VerdictDB: vdb}
+	opts := scooter.Options{TrackEquivalences: true, Cache: vdb}
 	if _, err := w.MigrateNamedOpts("tighten", `User::UpdateFieldReadPolicy(email, u -> [u]);`, opts); err != nil {
 		t.Fatal(err)
 	}
