@@ -4,13 +4,13 @@
 // paper encodes each field as a function from instances to values, §4).
 //
 // The engine is not incremental: the solver hands it the full set of
-// asserted (dis)equalities at once and minimises unsatisfiable cores by
-// deletion at a higher level. This keeps the closure algorithm simple while
+// asserted (dis)equalities at once and minimises unsatisfiable cores at a
+// higher level. This keeps the closure algorithm simple while
 // remaining fast for the formula sizes migration verification produces.
 package euf
 
 import (
-	"fmt"
+	"strconv"
 
 	"scooter/internal/smt/term"
 )
@@ -39,11 +39,22 @@ type Result struct {
 // SigKey is the canonical congruence signature of an application with the
 // given function name and argument class representatives.
 func SigKey(name string, argReps []term.T) string {
-	key := fmt.Sprintf("%s/%d", name, len(argReps))
+	return string(appendSigKey(nil, name, argReps))
+}
+
+// appendSigKey appends SigKey(name, argReps) to dst. The name is length-
+// prefixed, so no name can pose as another name plus arguments.
+func appendSigKey(dst []byte, name string, argReps []term.T) []byte {
+	dst = strconv.AppendInt(dst, int64(len(name)), 10)
+	dst = append(dst, ':')
+	dst = append(dst, name...)
+	dst = append(dst, '/')
+	dst = strconv.AppendInt(dst, int64(len(argReps)), 10)
 	for _, a := range argReps {
-		key += fmt.Sprintf(",%d", a)
+		dst = append(dst, ',')
+		dst = strconv.AppendInt(dst, int64(a), 10)
 	}
-	return key
+	return dst
 }
 
 // engine performs one congruence-closure run.
@@ -57,6 +68,9 @@ type engine struct {
 	sig map[string]term.T
 	// pending is the merge worklist.
 	pending [][2]term.T
+	// reps and key are scratch for signature.
+	reps []term.T
+	key  []byte
 }
 
 // Check decides whether the assertions are jointly satisfiable.
@@ -109,12 +123,8 @@ func CheckWithTerms(b *term.Builder, assertions []Assertion, extra []term.T) Res
 	appReps := map[string]term.T{}
 	for t := range e.parent {
 		if b.Op(t) == term.OpApp {
-			args := b.Args(t)
-			reps := make([]term.T, len(args))
-			for i, a := range args {
-				reps[i] = e.find(a)
-			}
-			appReps[SigKey(b.Name(t), reps)] = e.find(t)
+			e.signature(t)
+			appReps[string(e.key)] = e.find(t)
 		}
 	}
 	return Result{Sat: true, Classes: classes, AppReps: appReps}
@@ -154,28 +164,27 @@ func (e *engine) find(t term.T) term.T {
 	return root
 }
 
-// signature returns the congruence key of an application term under the
-// current partition.
-func (e *engine) signature(t term.T) string {
-	args := e.b.Args(t)
-	reps := make([]term.T, len(args))
-	for i, a := range args {
-		reps[i] = e.find(a)
+// signature sets e.key to the congruence key of an application term under
+// the current partition.
+func (e *engine) signature(t term.T) {
+	e.reps = e.reps[:0]
+	for _, a := range e.b.Args(t) {
+		e.reps = append(e.reps, e.find(a))
 	}
-	return SigKey(e.b.Name(t), reps)
+	e.key = appendSigKey(e.key[:0], e.b.Name(t), e.reps)
 }
 
 // checkSignature looks t up in the signature table, scheduling a merge when
 // a congruent application already exists.
 func (e *engine) checkSignature(t term.T) {
-	key := e.signature(t)
-	if other, ok := e.sig[key]; ok {
+	e.signature(t)
+	if other, ok := e.sig[string(e.key)]; ok {
 		if e.find(other) != e.find(t) {
 			e.pending = append(e.pending, [2]term.T{t, other})
 		}
 		return
 	}
-	e.sig[key] = t
+	e.sig[string(e.key)] = t
 }
 
 func (e *engine) merge(a, b term.T) {

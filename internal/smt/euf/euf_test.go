@@ -141,3 +141,28 @@ func TestMixedSatModel(t *testing.T) {
 		t.Error("y and z must be distinct")
 	}
 }
+
+// TestSigKeyUnambiguous: a function name containing the key's separators
+// must not pose as another name applied to arguments.
+func TestSigKeyUnambiguous(t *testing.T) {
+	cases := []struct {
+		name string
+		args []term.T
+	}{
+		{"a/1,5", nil},
+		{"a", []term.T{5}},
+		{"a/1", []term.T{5}},
+		{"f", []term.T{1, 2}},
+		{"f", []term.T{12}},
+		{"f:1", nil},
+		{"1:f", nil},
+	}
+	seen := map[string]int{}
+	for i, c := range cases {
+		k := SigKey(c.name, c.args)
+		if j, ok := seen[k]; ok {
+			t.Fatalf("SigKey(%q, %v) equals SigKey(%q, %v)", c.name, c.args, cases[j].name, cases[j].args)
+		}
+		seen[k] = i
+	}
+}

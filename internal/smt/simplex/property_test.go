@@ -181,3 +181,67 @@ func TestSimplexRationalRelaxation(t *testing.T) {
 		}
 	}
 }
+
+// TestAssignmentInvariants guards the incremental assignment update and the
+// memoised δ: after every satisfiable Check, each basic variable's value
+// equals its row re-evaluated over the nonbasic values, and Value answers
+// the same rational when asked twice, namely the one the current assignment
+// and a freshly computed δ give.
+func TestAssignmentInvariants(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	checked := 0
+	for iter := 0; iter < 400; iter++ {
+		nVars := 2 + rng.Intn(3)
+		cons := randSystem(rng, nVars, 1+rng.Intn(6))
+		s := New()
+		vars := make([]VarID, nVars)
+		isInt := rng.Intn(2) == 0
+		for i := range vars {
+			vars[i] = s.NewVar(isInt)
+			s.AddConstraint(Constraint{
+				Terms: []Monomial{{Coeff: big.NewRat(1, 1), Var: vars[i]}},
+				Op:    Ge, K: big.NewRat(-6, 1),
+			})
+			s.AddConstraint(Constraint{
+				Terms: []Monomial{{Coeff: big.NewRat(1, 1), Var: vars[i]}},
+				Op:    Le, K: big.NewRat(6, 1),
+			})
+		}
+		for _, c := range cons {
+			var terms []Monomial
+			for j, co := range c.coeffs {
+				if co != 0 {
+					terms = append(terms, Monomial{Coeff: big.NewRat(co, 1), Var: vars[j]})
+				}
+			}
+			s.AddConstraint(Constraint{Terms: terms, Op: c.op, K: big.NewRat(c.k, 1)})
+		}
+		if !checkOK(t, s) {
+			continue
+		}
+		checked++
+		for bv, row := range s.rows {
+			if got, want := s.beta[bv], s.rowValue(row); got.Cmp(want) != 0 {
+				t.Fatalf("iter %d: basic var %d holds %v, its row evaluates to %v", iter, bv, got, want)
+			}
+		}
+		delta := s.concreteDelta()
+		if s.concDelta != nil && s.concDelta.Cmp(delta) != 0 {
+			t.Fatalf("iter %d: memoised δ %v, the current assignment gives %v", iter, s.concDelta, delta)
+		}
+		for _, v := range vars {
+			if a, b := s.Value(v), s.Value(v); a.Cmp(b) != 0 {
+				t.Fatalf("iter %d: Value(%d) gave %v then %v", iter, v, a, b)
+			}
+			q := s.beta[v]
+			want := new(big.Rat).Mul(q.D, delta)
+			want.Add(want, q.R)
+			if got := s.Value(v); got.Cmp(want) != 0 {
+				t.Fatalf("iter %d: Value(%d) = %v, want %v for the current assignment", iter, v, got, want)
+			}
+		}
+	}
+	if checked < 100 {
+		t.Fatalf("only %d satisfiable systems", checked)
+	}
+}

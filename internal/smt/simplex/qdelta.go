@@ -40,14 +40,6 @@ func (q QDelta) Cmp(o QDelta) int {
 	return q.D.Cmp(o.D)
 }
 
-// Add returns q + o.
-func (q QDelta) Add(o QDelta) QDelta {
-	return QDelta{
-		R: new(big.Rat).Add(q.R, o.R),
-		D: new(big.Rat).Add(q.D, o.D),
-	}
-}
-
 // Sub returns q - o.
 func (q QDelta) Sub(o QDelta) QDelta {
 	return QDelta{
@@ -56,11 +48,14 @@ func (q QDelta) Sub(o QDelta) QDelta {
 	}
 }
 
-// ScaleRat returns c * q for a rational c.
-func (q QDelta) ScaleRat(c *big.Rat) QDelta {
-	return QDelta{
-		R: new(big.Rat).Mul(c, q.R),
-		D: new(big.Rat).Mul(c, q.D),
+// addMul adds c·x to q in place, using tmp as scratch. q must not share its
+// rationals with any other value.
+func (q QDelta) addMul(c *big.Rat, x QDelta, tmp *big.Rat) {
+	if x.R.Sign() != 0 {
+		q.R.Add(q.R, tmp.Mul(c, x.R))
+	}
+	if x.D.Sign() != 0 {
+		q.D.Add(q.D, tmp.Mul(c, x.D))
 	}
 }
 

@@ -70,7 +70,12 @@ type Solver struct {
 	basic map[int]bool
 	lower []*QDelta // per var, nil = unbounded
 	upper []*QDelta
-	beta  []QDelta // current assignment
+	// Each beta entry and each row coefficient owns its rationals, so
+	// pivots update them in place.
+	beta []QDelta // current assignment
+	// concDelta memoises concreteDelta for the current assignment; nil until
+	// Value first needs it, and reset whenever beta changes.
+	concDelta *big.Rat
 
 	// MaxPivots bounds the pivot count as a defensive measure; Bland's
 	// rule guarantees termination, so hitting it indicates a bug — but
@@ -125,6 +130,7 @@ func (s *Solver) checkRational() (bool, error) {
 	s.lower = make([]*QDelta, s.total)
 	s.upper = make([]*QDelta, s.total)
 	s.beta = make([]QDelta, s.total)
+	s.concDelta = nil
 	for i := range s.beta {
 		s.beta[i] = QDInt(0)
 	}
@@ -203,8 +209,9 @@ func (s *Solver) tightenUpper(v int, q QDelta) {
 
 func (s *Solver) rowValue(row map[int]*big.Rat) QDelta {
 	val := QDInt(0)
+	tmp := new(big.Rat)
 	for v, coeff := range row {
-		val = val.Add(s.beta[v].ScaleRat(coeff))
+		val.addMul(coeff, s.beta[v], tmp)
 	}
 	return val
 }
@@ -305,11 +312,18 @@ func (s *Solver) pivotAndUpdate(leave, enter int, target QDelta) {
 	s.basic[enter] = true
 
 	// Update values: delta on enter to move leave to target.
-	delta := target.Sub(s.beta[leave]).ScaleRat(inv)
-	s.beta[enter] = s.beta[enter].Add(delta)
+	delta := target.Sub(s.beta[leave])
+	delta.R.Mul(delta.R, inv)
+	delta.D.Mul(delta.D, inv)
+	s.beta[enter].R.Add(s.beta[enter].R, delta.R)
+	s.beta[enter].D.Add(s.beta[enter].D, delta.D)
 	s.beta[leave] = target
+	s.concDelta = nil
 
-	// Substitute enter's definition into every other row.
+	// Substitute enter's definition into every other row. Of the nonbasic
+	// variables only enter moved, so a row holding enter with coefficient c
+	// moves by exactly c·delta (the update step of Dutertre & de Moura).
+	tmp := new(big.Rat)
 	for bv, r := range s.rows {
 		if bv == enter {
 			continue
@@ -318,20 +332,18 @@ func (s *Solver) pivotAndUpdate(leave, enter int, target QDelta) {
 		if !ok || c.Sign() == 0 {
 			continue
 		}
-		coeff := new(big.Rat).Set(c)
-		delete(r, enter)
+		delete(r, enter) // c now belongs to this loop alone
 		for v, ec := range newRow {
-			add := new(big.Rat).Mul(coeff, ec)
 			if cur, ok := r[v]; ok {
-				cur.Add(cur, add)
+				cur.Add(cur, tmp.Mul(c, ec))
 				if cur.Sign() == 0 {
 					delete(r, v)
 				}
-			} else if add.Sign() != 0 {
-				r[v] = add
+			} else {
+				r[v] = new(big.Rat).Mul(c, ec)
 			}
 		}
-		s.beta[bv] = s.rowValue(r)
+		s.beta[bv].addMul(c, delta, tmp)
 	}
 }
 
@@ -365,9 +377,11 @@ func (s *Solver) concreteDelta() *big.Rat {
 
 // Value returns the model value of v after a successful Check.
 func (s *Solver) Value(v VarID) *big.Rat {
-	delta := s.concreteDelta()
+	if s.concDelta == nil {
+		s.concDelta = s.concreteDelta()
+	}
 	q := s.beta[v]
-	out := new(big.Rat).Mul(q.D, delta)
+	out := new(big.Rat).Mul(q.D, s.concDelta)
 	return out.Add(out, q.R)
 }
 
@@ -455,6 +469,7 @@ func (s *Solver) adopt(o *Solver) {
 	s.lower = o.lower
 	s.upper = o.upper
 	s.beta = o.beta
+	s.concDelta = o.concDelta
 	// Structural variables beyond o's slack count keep their values; Value
 	// only reads beta for structural vars which both share.
 }

@@ -4,6 +4,7 @@
 package term
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"sort"
@@ -133,8 +134,9 @@ type node struct {
 
 // Builder creates and interns terms.
 type Builder struct {
-	nodes []node
-	index map[string]T
+	nodes  []node
+	index  map[string]T
+	keyBuf []byte // scratch for intern's key
 
 	t, f T // cached true/false
 }
@@ -150,27 +152,42 @@ func NewBuilder() *Builder {
 // NumTerms returns the number of distinct terms created.
 func (b *Builder) NumTerms() int { return len(b.nodes) }
 
-func (b *Builder) key(n node) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d|%d|%s|%s|%d|", n.op, n.sort.Kind, n.sort.Name, n.name, n.val)
+// appendKey appends the hash-consing key of n applied to args to dst.
+// Every field is self-delimiting (varints, length-prefixed strings) except
+// the rational's text, which runs to the end of the key, so distinct nodes
+// never share a key whatever their names contain.
+func appendKey(dst []byte, n node, args []T) []byte {
+	dst = binary.AppendUvarint(dst, uint64(n.op))
+	dst = binary.AppendUvarint(dst, uint64(n.sort.Kind))
+	dst = binary.AppendUvarint(dst, uint64(len(n.sort.Name)))
+	dst = append(dst, n.sort.Name...)
+	dst = binary.AppendUvarint(dst, uint64(len(n.name)))
+	dst = append(dst, n.name...)
+	dst = binary.AppendVarint(dst, n.val)
+	dst = binary.AppendUvarint(dst, uint64(len(args)))
+	for _, a := range args {
+		dst = binary.AppendVarint(dst, int64(a))
+	}
 	if n.rat != nil {
-		sb.WriteString(n.rat.RatString())
+		dst = n.rat.Num().Append(dst, 10)
+		dst = append(dst, '/')
+		dst = n.rat.Denom().Append(dst, 10)
 	}
-	sb.WriteByte('|')
-	for _, a := range n.args {
-		fmt.Fprintf(&sb, "%d,", a)
-	}
-	return sb.String()
+	return dst
 }
 
-func (b *Builder) intern(n node) T {
-	k := b.key(n)
-	if id, ok := b.index[k]; ok {
+// intern returns the id of the term n applied to args, creating it on first
+// use. The key is built in a reused buffer and args is copied only when the
+// term is new, so a lookup that hits allocates nothing.
+func (b *Builder) intern(n node, args ...T) T {
+	b.keyBuf = appendKey(b.keyBuf[:0], n, args)
+	if id, ok := b.index[string(b.keyBuf)]; ok {
 		return id
 	}
 	id := T(len(b.nodes))
+	n.args = append([]T(nil), args...)
 	b.nodes = append(b.nodes, n)
-	b.index[k] = id
+	b.index[string(b.keyBuf)] = id
 	return id
 }
 
@@ -246,7 +263,7 @@ func (b *Builder) Const(name string, sort Sort) T {
 
 // App returns the application fn(args...) with the given result sort.
 func (b *Builder) App(fn string, result Sort, args ...T) T {
-	return b.intern(node{op: OpApp, sort: result, name: fn, args: append([]T(nil), args...)})
+	return b.intern(node{op: OpApp, sort: result, name: fn}, args...)
 }
 
 // Not returns the negation of t, simplifying double negation and constants.
@@ -259,7 +276,7 @@ func (b *Builder) Not(t T) T {
 	case OpNot:
 		return b.nodes[t].args[0]
 	}
-	return b.intern(node{op: OpNot, sort: Bool, args: []T{t}})
+	return b.intern(node{op: OpNot, sort: Bool}, t)
 }
 
 // And returns the conjunction, flattening nested conjunctions, removing
@@ -314,7 +331,7 @@ func (b *Builder) nary(op Op, ts []T) T {
 	}
 	// Sort args for canonical form.
 	sort.Slice(flat, func(i, j int) bool { return flat[i] < flat[j] })
-	return b.intern(node{op: op, sort: Bool, args: flat})
+	return b.intern(node{op: op, sort: Bool}, flat...)
 }
 
 // Implies returns (not a) or b.
@@ -345,7 +362,7 @@ func (b *Builder) Eq(a, c T) T {
 	if a > c {
 		a, c = c, a
 	}
-	return b.intern(node{op: OpEq, sort: Bool, args: []T{a, c}})
+	return b.intern(node{op: OpEq, sort: Bool}, a, c)
 }
 
 // Le returns a <= c over Int or Real terms.
@@ -357,7 +374,7 @@ func (b *Builder) Le(a, c T) T {
 	if na.op == OpRatLit && nc.op == OpRatLit {
 		return b.BoolLit(na.rat.Cmp(nc.rat) <= 0)
 	}
-	return b.intern(node{op: OpLe, sort: Bool, args: []T{a, c}})
+	return b.intern(node{op: OpLe, sort: Bool}, a, c)
 }
 
 // Lt returns a < c over Int or Real terms.
@@ -369,7 +386,7 @@ func (b *Builder) Lt(a, c T) T {
 	if na.op == OpRatLit && nc.op == OpRatLit {
 		return b.BoolLit(na.rat.Cmp(nc.rat) < 0)
 	}
-	return b.intern(node{op: OpLt, sort: Bool, args: []T{a, c}})
+	return b.intern(node{op: OpLt, sort: Bool}, a, c)
 }
 
 // Ge returns a >= c.
@@ -386,12 +403,12 @@ func (b *Builder) Add(ts ...T) T {
 	if len(ts) == 1 {
 		return ts[0]
 	}
-	return b.intern(node{op: OpAdd, sort: b.nodes[ts[0]].sort, args: append([]T(nil), ts...)})
+	return b.intern(node{op: OpAdd, sort: b.nodes[ts[0]].sort}, ts...)
 }
 
 // Sub returns a - c.
 func (b *Builder) Sub(a, c T) T {
-	return b.intern(node{op: OpSub, sort: b.nodes[a].sort, args: []T{a, c}})
+	return b.intern(node{op: OpSub, sort: b.nodes[a].sort}, a, c)
 }
 
 // MulConst returns k * t for a literal coefficient k. A non-literal
@@ -402,7 +419,7 @@ func (b *Builder) MulConst(k T, t T) (T, error) {
 	if !b.IsLiteralValue(k) {
 		return NilTerm, fmt.Errorf("term: non-linear multiplication: coefficient %s is not a literal", b.String(k))
 	}
-	return b.intern(node{op: OpMul, sort: b.nodes[t].sort, args: []T{k, t}}), nil
+	return b.intern(node{op: OpMul, sort: b.nodes[t].sort}, k, t), nil
 }
 
 // Ite returns if cond then a else c. The branches must share a sort.
@@ -420,7 +437,7 @@ func (b *Builder) Ite(cond, a, c T) T {
 		// Boolean ite: (cond -> a) and (!cond -> c).
 		return b.And(b.Implies(cond, a), b.Implies(b.Not(cond), c))
 	}
-	return b.intern(node{op: OpIte, sort: b.nodes[a].sort, args: []T{cond, a, c}})
+	return b.intern(node{op: OpIte, sort: b.nodes[a].sort}, cond, a, c)
 }
 
 // Distinct asserts pairwise distinctness of ts.
@@ -430,7 +447,7 @@ func (b *Builder) Distinct(ts ...T) T {
 	}
 	sorted := append([]T(nil), ts...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return b.intern(node{op: OpDistinct, sort: Bool, args: sorted})
+	return b.intern(node{op: OpDistinct, sort: Bool}, sorted...)
 }
 
 // String renders the term in SMT-LIB-like prefix syntax.

@@ -175,3 +175,44 @@ func TestStringRendering(t *testing.T) {
 		t.Errorf("render: %s", got)
 	}
 }
+
+// TestKeysAreUnambiguous: a name that contains another field's separator
+// must not intern to the same term as a different node.
+func TestKeysAreUnambiguous(t *testing.T) {
+	b := NewBuilder()
+	x := b.Const("b|c", Uninterp("a"))
+	y := b.Const("c", Uninterp("a|b"))
+	if x == y {
+		t.Fatal(`Const("b|c", a) and Const("c", a|b) interned to one term`)
+	}
+	if got := b.SortOf(y); got != Uninterp("a|b") {
+		t.Fatalf("Const(\"c\", a|b) has sort %v", got)
+	}
+	u := Uninterp("U")
+	p, q := b.Const("p", u), b.Const("q", u)
+	if b.App("f", Int, p, q) == b.App("f", Int, p) || b.App("f,1", Int, q) == b.App("f", Int, p, q) {
+		t.Fatal("applications with different names or arguments interned to one term")
+	}
+	if b.RatLit(big.NewRat(1, 2)) != b.RatLit(big.NewRat(2, 4)) {
+		t.Fatal("equal rationals must intern to one term")
+	}
+	if b.RatLit(big.NewRat(1, 2)) == b.RatLit(big.NewRat(1, 3)) {
+		t.Fatal("different rationals interned to one term")
+	}
+}
+
+// TestAppCopiesArgs: the builder must not keep the caller's argument slice.
+func TestAppCopiesArgs(t *testing.T) {
+	b := NewBuilder()
+	u := Uninterp("U")
+	x, y := b.Const("x", u), b.Const("y", u)
+	args := []T{x}
+	fx := b.App("f", Int, args...)
+	args[0] = y
+	if b.Args(fx)[0] != x {
+		t.Fatal("App kept the caller's argument slice")
+	}
+	if b.App("f", Int, x) != fx {
+		t.Fatal("f(x) no longer interns to the first f(x)")
+	}
+}
