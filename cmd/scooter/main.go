@@ -48,8 +48,9 @@
 // replay. On failure it prints the first diverging collection/field and
 // the seeded store witnessing the divergence. With -online it takes one
 // script and proves its batched online execution plan equivalent to the
-// stop-the-world plan. -verdict-db persists verdicts in the same store as
-// strictness proofs, so warm replays answer from disk byte-identically.
+// stop-the-world plan. -verdict-db persists the policy proofs in the same
+// store as sidecar's strictness proofs; the report itself is not stored,
+// and a re-run replays the data phase and prints the same report.
 //
 // Exit status is 0 on success (makemigration: synthesized and proved, or
 // no changes; equivcheck: proved equivalent), 1 on a violation, an
@@ -334,7 +335,7 @@ func cmdEquivCheck(args []string, stdout, stderr io.Writer) int {
 	solverRounds := fs.Int("solver-rounds", 0, "SMT budget per policy proof (0 = default)")
 	online := fs.Bool("online", false, "take one script and prove its online plan equivalent to stop-the-world")
 	batchSize := fs.Int("batch-size", migrate.DefaultBatchSize, "backfill batch size for -online")
-	verdictDB := fs.String("verdict-db", "", "persist verdicts in this store (shared with sidecar proofs)")
+	verdictDB := fs.String("verdict-db", "", "persist policy proofs in this store (shared with sidecar proofs)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

@@ -34,9 +34,12 @@
 // across runs (and across machines that share the file): verdicts proved
 // once are looked up by the query's alpha-invariant fingerprint,
 // counterexamples included, so a warm replay prints byte-identical output
-// without solving. The file-backed store is used instead of a -cache-size
-// one and, like it, keeps a bounded number of verdicts in memory. A
-// truncated or damaged file degrades to a cold start, never an error.
+// without solving. A stored verdict answers under any budget: a proof that
+// finished under the default -solver-rounds answers a later run with
+// -solver-rounds 1, and inconclusive results are never stored. The
+// file-backed store is used instead of a -cache-size one and, like it,
+// keeps a bounded number of verdicts in memory. A truncated or damaged
+// file degrades to a cold start, never an error.
 //
 // -timeout bounds the whole run and -proof-timeout bounds each strictness
 // proof (one budget for all principal kinds of that proof, which are
@@ -327,9 +330,7 @@ func checkStrictness(s *schema.Schema, model, oldSrc, newSrc string, solverRound
 		return 2
 	}
 	checker := verify.New(s, nil)
-	if solverRounds > 0 {
-		checker.SolverRounds = solverRounds
-	}
+	checker.SolverRounds = solverRounds
 	checker.SolverConflicts = solverConflicts
 	checker.Limits = lim
 	res, err := checker.CheckStrictness(model, pOld, pNew)

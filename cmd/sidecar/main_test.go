@@ -341,6 +341,36 @@ func TestStatsWarmVerdictDB(t *testing.T) {
 	}
 }
 
+// TestVerdictDBAnswersUnderAnyBudget: a verdict file written at the
+// default round budget answers a later run with -solver-rounds 1. Cold,
+// that budget leaves hard-23-0614 UNKNOWN (exit 3); from the file the run
+// prints the same OK report, exits 0 and solves nothing.
+func TestVerdictDBAnswersUnderAnyBudget(t *testing.T) {
+	dir := filepath.Join("..", "..", "internal", "migrate", "testdata", "hard-23-0614")
+	spec, script := filepath.Join(dir, "policy.scp"), filepath.Join(dir, "migration.scm")
+	db := filepath.Join(t.TempDir(), "verdicts.db")
+	runOnce := func(args ...string) (code int, stdout, stderr string) {
+		t.Helper()
+		var out, errOut bytes.Buffer
+		code = run(append(append([]string{"-spec", spec}, args...), script), &out, &errOut)
+		return code, out.String(), errOut.String()
+	}
+	if code, out, _ := runOnce("-solver-rounds", "1"); code != 3 {
+		t.Fatalf("cold one-round run: exit code %d, want 3\n%s", code, out)
+	}
+	code, full, errOut := runOnce("-verdict-db", db)
+	if code != 0 {
+		t.Fatalf("default budget: exit code %d, want 0\n%s%s", code, full, errOut)
+	}
+	code, short, stats := runOnce("-verdict-db", db, "-solver-rounds", "1", "-stats")
+	if code != 0 || short != full {
+		t.Fatalf("one-round run from the file: exit code %d, want 0; stdout:\n%s\nwant:\n%s", code, short, full)
+	}
+	if !strings.Contains(stats, "· 0 queries solved") {
+		t.Fatalf("one-round run from the file solved queries:\n%s", stats)
+	}
+}
+
 // visitdayScripts returns the Visit Days migration history in order.
 func visitdayScripts(t *testing.T) []string {
 	t.Helper()

@@ -129,9 +129,6 @@ func (op BinOp) String() string {
 	return fmt.Sprintf("BinOp(%d)", int(op))
 }
 
-// IsComparison reports whether op yields Bool.
-func (op BinOp) IsComparison() bool { return op >= OpLt }
-
 // Binary is e1 op e2.
 type Binary struct {
 	exprBase

@@ -88,9 +88,6 @@ func (t Type) Equal(u Type) bool {
 	return true
 }
 
-// IsSet reports whether t is a Set type.
-func (t Type) IsSet() bool { return t.Kind == TSet }
-
 // IsNumeric reports whether t supports numeric comparison.
 func (t Type) IsNumeric() bool {
 	return t.Kind == TI64 || t.Kind == TF64 || t.Kind == TDateTime

@@ -43,13 +43,6 @@ func Walk(e Expr, fn func(Expr) bool) {
 	}
 }
 
-// WalkPolicy walks the policy's function body, if it has one.
-func WalkPolicy(p Policy, fn func(Expr) bool) {
-	if p.Kind == PolicyFunc && p.Fn != nil {
-		Walk(p.Fn, fn)
-	}
-}
-
 // FieldRef identifies a model field.
 type FieldRef struct {
 	Model string

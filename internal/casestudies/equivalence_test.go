@@ -159,8 +159,8 @@ func mutateInit(before *schema.Schema, script *ast.MigrationScript) (*ast.Migrat
 
 // TestCorpusEquivalence replays the whole case-study corpus through the
 // bounded equivalence checker: every script with a commuting adjacent
-// command pair proves equivalent to its reordered variant (and the warm
-// replay answers from the shared caches byte-identically), and every
+// command pair proves equivalent to its reordered variant (and a re-run
+// over the warm verdict store reports it byte-identically), and every
 // script with a mutable initialiser on a pre-existing model yields a
 // concrete counterexample once mutated.
 func TestCorpusEquivalence(t *testing.T) {
@@ -203,9 +203,6 @@ func TestCorpusEquivalence(t *testing.T) {
 				warm, err := migrate.VerifyEquivalent(before, name, script, name+" (reordered)", swapped, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
-				}
-				if !warm.CacheHit {
-					t.Fatalf("%s: warm replay must answer from the cache", name)
 				}
 				if warm.Format() != cold.Format() {
 					t.Fatalf("%s: warm replay must be byte-identical\ncold:\n%s\nwarm:\n%s",

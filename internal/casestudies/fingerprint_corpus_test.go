@@ -55,7 +55,7 @@ func buildKey(t *testing.T, s *schema.Schema, pp policyPair, kind lower.Principa
 	if err != nil {
 		t.Fatalf("lowering %s: %q -> %q: %v", pp.model, pp.old.String(), pp.new.String(), err)
 	}
-	return verify.QueryKey(q, verify.DefaultSolverRounds), q
+	return verify.QueryKey(q), q
 }
 
 // TestCorpusFingerprints drives the canonical fingerprint over every

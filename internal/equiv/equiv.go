@@ -42,9 +42,6 @@ func (d *Defs) Clone() *Defs {
 	return out
 }
 
-// Enabled reports whether definitions are consulted.
-func (d *Defs) Enabled() bool { return d.enabled }
-
 // Record registers the initialiser of a newly added field. With tracking
 // disabled (the §6.4 opt-out) nothing is recorded: a definition remembered
 // while opted out would resurface if tracking were re-enabled later in the

@@ -25,23 +25,19 @@
 // domains, universes are enumerated up to document renaming, and the total
 // is capped — exceeding the cap yields Inconclusive, never a silent skip.
 //
-// Verdicts flow through the same verdict store as strictness proofs
-// (verify.Cache, in memory or file-backed), keyed by a canonical
-// fingerprint of the source spec, both sides, and the bounds, so a warm
-// replay reproduces cold output byte for byte.
+// A check's report is not stored: a bounded replay of a corpus pair costs
+// about a millisecond, and every check runs both phases. Only the inner
+// policy proofs go through the verdict store (Options.Cache, in memory or
+// file-backed), under their own strictness keys.
 package equivcheck
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
-	"strconv"
 	"strings"
 
 	"scooter/internal/ast"
 	"scooter/internal/schema"
-	"scooter/internal/smt/term"
-	"scooter/internal/specfmt"
 	"scooter/internal/store"
 	"scooter/internal/verify"
 )
@@ -68,10 +64,6 @@ type InitRef struct {
 type Side struct {
 	// Name labels the side in counterexamples (e.g. the script filename).
 	Name string
-	// ID is the side's canonical identity for fingerprinting: two sides
-	// with equal IDs are assumed to be the same migration. The migrate
-	// entry points use the canonical command rendering (plus a plan tag).
-	ID string
 	// After is the side's post-migration schema.
 	After *schema.Schema
 	// Inits lists the side's AddField initialisers for relevance analysis.
@@ -95,13 +87,8 @@ type Options struct {
 	// SolverRounds is the per-policy-proof SMT budget
 	// (verify.DefaultSolverRounds when <= 0).
 	SolverRounds int
-	// Kind tags the verdict's cache key ("equiv" when empty; the online
-	// plan self-check uses "equiv-online") so differently derived checks
-	// never share an entry.
-	Kind string
-	// Cache, when set, memoizes equivalence verdicts alongside strictness
-	// verdicts (persisting them when it is file-backed). The inner policy
-	// proofs use the same store under their own strictness keys.
+	// Cache, when set, is the verdict store of the inner policy proofs
+	// (persisting them when it is file-backed).
 	Cache *verify.Cache
 }
 
@@ -136,9 +123,6 @@ type Report struct {
 	Universes int
 	// PolicyProofs counts SMT strictness proofs discharged in phase 1.
 	PolicyProofs int
-	// CacheHit reports that the verdict was answered from the fingerprint
-	// cache or the verdict store without re-checking.
-	CacheHit bool
 	// Incomplete notes that a policy proof used bounded instantiation.
 	Incomplete bool
 	// Counterexample is set on NotEquivalent: the diverging location and
@@ -148,8 +132,8 @@ type Report struct {
 	Why string
 }
 
-// Format renders the report deterministically. Cache status is deliberately
-// excluded: a warm replay must reproduce the cold rendering byte for byte.
+// Format renders the report deterministically: a re-run, warm verdict
+// store or not, reproduces it byte for byte.
 func (r *Report) Format() string {
 	var sb strings.Builder
 	switch r.Verdict {
@@ -184,40 +168,7 @@ func Check(before *schema.Schema, a, b Side, opts Options) (*Report, error) {
 	if maxU <= 0 {
 		maxU = DefaultMaxUniverses
 	}
-	rounds := opts.SolverRounds
-	if rounds <= 0 {
-		rounds = verify.DefaultSolverRounds
-	}
-	kind := opts.Kind
-	if kind == "" {
-		kind = "equiv"
-	}
-
-	key := cacheKey(before, a, b, bound, maxU, rounds, kind)
-	if res, ok := verify.LookupVerdict(opts.Cache, nil, key); ok {
-		return reportFromResult(&res, bound), nil
-	}
-	var stored *verify.Result
-	defer func() { verify.StoreVerdict(opts.Cache, key, stored) }()
-
-	rep, err := check(before, a, b, bound, maxU, rounds, opts)
-	if err != nil {
-		return nil, err
-	}
-	rep.Bound = bound
-	if rep.Verdict != Inconclusive {
-		// Inconclusive is never cached — which budget ran out depends on
-		// the run, matching the strictness-verdict cache rule.
-		res := resultFromReport(rep)
-		stored = &res
-	}
-	return rep, nil
-}
-
-// check runs both phases cold (no verdict-cache consultation for the
-// overall answer; the inner policy proofs still use the caches).
-func check(before *schema.Schema, a, b Side, bound, maxU, rounds int, opts Options) (*Report, error) {
-	rep := &Report{Verdict: Equivalent}
+	rep := &Report{Verdict: Equivalent, Bound: bound}
 
 	// Phase 1: structural schema equality, then policy equivalence.
 	if ce := diffShapes(a, b); ce != nil {
@@ -225,9 +176,12 @@ func check(before *schema.Schema, a, b Side, bound, maxU, rounds int, opts Optio
 		rep.Counterexample = ce
 		return rep, nil
 	}
-	done, err := checkPolicies(a, b, rounds, opts, rep)
-	if err != nil || done {
-		return rep, err
+	done, err := checkPolicies(a, b, opts, rep)
+	if err != nil {
+		return nil, err
+	}
+	if done {
+		return rep, nil
 	}
 
 	// Phase 2: bounded differential replay.
@@ -272,12 +226,12 @@ func check(before *schema.Schema, a, b Side, bound, maxU, rounds int, opts Optio
 // checkPolicies proves every corresponding policy pair extensionally equal
 // via the strictness checker in both directions. Returns done=true when the
 // verdict is decided (NotEquivalent or Inconclusive).
-func checkPolicies(a, b Side, rounds int, opts Options, rep *Report) (bool, error) {
+func checkPolicies(a, b Side, opts Options, rep *Report) (bool, error) {
 	// Both schemas are structurally equal at this point; a's supplies the
 	// model/principal context for lowering (policies are compared
 	// explicitly, so b's policy text never needs to live in the schema).
 	checker := verify.New(a.After, nil)
-	checker.SolverRounds = rounds
+	checker.SolverRounds = opts.SolverRounds
 	checker.Cache = opts.Cache
 
 	type slot struct {
@@ -392,85 +346,4 @@ func policyCounterexample(loc, admittedBy string, inner *verify.Counterexample) 
 		ce.Others = inner.Others
 	}
 	return ce
-}
-
-// cacheKey fingerprints a check: the canonical source spec, both sides'
-// identities, and every parameter a verdict depends on. The key shares
-// verify.CacheKey so equivalence verdicts live in the same store as
-// strictness verdicts, distinguished by Kind.
-func cacheKey(before *schema.Schema, a, b Side, bound, maxU, rounds int, kind string) verify.CacheKey {
-	payload := strings.Join([]string{
-		"equivcheck-v1",
-		canonicalSpec(before),
-		a.ID,
-		b.ID,
-		strconv.Itoa(bound),
-		strconv.Itoa(maxU),
-	}, "\x00")
-	return verify.CacheKey{
-		Fp:     fingerprint(payload),
-		Kind:   kind,
-		Rounds: rounds,
-	}
-}
-
-func fingerprint(payload string) term.Fp {
-	var fp term.Fp
-	for i, seed := range []string{"equiv-lo\x00", "equiv-hi\x00"} {
-		h := fnv.New64a()
-		h.Write([]byte(seed))
-		h.Write([]byte(payload))
-		fp[i] = h.Sum64()
-	}
-	return fp
-}
-
-// canonicalSpec renders a schema with models and statics in sorted order,
-// so fingerprints do not depend on declaration order.
-func canonicalSpec(s *schema.Schema) string {
-	c := s.Clone()
-	sort.Strings(c.Statics)
-	sort.Slice(c.Models, func(i, j int) bool { return c.Models[i].Name < c.Models[j].Name })
-	return specfmt.Format(c)
-}
-
-// resultFromReport maps a definitive report onto verify.Result so it can
-// ride the strictness caches. The replay statistics are packed into the
-// (otherwise unused) principal-kind strings — both persist in a
-// file-backed store, so a warm replay reproduces cold output byte for byte.
-func resultFromReport(rep *Report) verify.Result {
-	res := verify.Result{Incomplete: rep.Incomplete, Counterexample: rep.Counterexample}
-	if rep.Verdict == NotEquivalent {
-		res.Verdict = verify.Violation
-	}
-	res.Kind.Model = "u" + strconv.Itoa(rep.Universes)
-	res.Kind.Static = "p" + strconv.Itoa(rep.PolicyProofs)
-	return res
-}
-
-func reportFromResult(res *verify.Result, bound int) *Report {
-	rep := &Report{
-		Verdict:        Equivalent,
-		Bound:          bound,
-		CacheHit:       true,
-		Incomplete:     res.Incomplete,
-		Counterexample: res.Counterexample,
-	}
-	if res.Verdict == verify.Violation {
-		rep.Verdict = NotEquivalent
-	}
-	rep.Universes = unpackStat(res.Kind.Model, "u")
-	rep.PolicyProofs = unpackStat(res.Kind.Static, "p")
-	return rep
-}
-
-func unpackStat(s, prefix string) int {
-	if !strings.HasPrefix(s, prefix) {
-		return 0
-	}
-	n, err := strconv.Atoi(s[len(prefix):])
-	if err != nil {
-		return 0
-	}
-	return n
 }

@@ -75,30 +75,3 @@ func TestDiffStoresFirstDivergingField(t *testing.T) {
 		t.Fatalf("expected M.alpha 1 vs 2, got %+v", div)
 	}
 }
-
-func TestFingerprintSensitivity(t *testing.T) {
-	// The two 64-bit halves are independently seeded, and any payload
-	// change moves the fingerprint.
-	fp := fingerprint("payload")
-	if fp[0] == fp[1] {
-		t.Fatal("fingerprint halves must differ")
-	}
-	if fingerprint("payload") != fp {
-		t.Fatal("fingerprint must be deterministic")
-	}
-	if fingerprint("payloae") == fp {
-		t.Fatal("fingerprint must be payload-sensitive")
-	}
-}
-
-func TestUnpackStat(t *testing.T) {
-	if got := unpackStat("u109", "u"); got != 109 {
-		t.Fatalf("unpackStat(u109) = %d", got)
-	}
-	if got := unpackStat("User", "u"); got != 0 {
-		t.Fatalf("legacy strictness kind must unpack to 0, got %d", got)
-	}
-	if got := unpackStat("", "p"); got != 0 {
-		t.Fatalf("empty kind must unpack to 0, got %d", got)
-	}
-}

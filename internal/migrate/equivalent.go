@@ -2,7 +2,6 @@ package migrate
 
 import (
 	"fmt"
-	"strings"
 
 	"scooter/internal/ast"
 	"scooter/internal/equivcheck"
@@ -40,9 +39,6 @@ func VerifyEquivalent(before *schema.Schema, aName string, a *ast.MigrationScrip
 // complements the byte-equality tests of the online engine with a proof
 // that covers all small stores, not just the fuzzed ones.
 func VerifyOnlineEquivalent(before *schema.Schema, name string, script *ast.MigrationScript, batchSize int, opts equivcheck.Options) (*equivcheck.Report, error) {
-	if opts.Kind == "" {
-		opts.Kind = "equiv-online"
-	}
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
@@ -54,7 +50,6 @@ func VerifyOnlineEquivalent(before *schema.Schema, name string, script *ast.Migr
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	online.ID += fmt.Sprintf("\x00online(batch=%d)", batchSize)
 	onlinePlan, err := Structural(before, script)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
@@ -73,7 +68,6 @@ func scriptSide(before *schema.Schema, name string, script *ast.MigrationScript)
 	}
 	side := equivcheck.Side{
 		Name:    name,
-		ID:      scriptID(script),
 		After:   plan.After,
 		Inits:   scriptInits(script),
 		Mutated: mutatedModels(script),
@@ -82,17 +76,6 @@ func scriptSide(before *schema.Schema, name string, script *ast.MigrationScript)
 		},
 	}
 	return side, nil
-}
-
-// scriptID is the canonical identity of a script for fingerprinting: the
-// rendered commands, which capture every semantically relevant detail
-// (comments and whitespace do not survive parsing).
-func scriptID(script *ast.MigrationScript) string {
-	parts := make([]string, len(script.Commands))
-	for i, cmd := range script.Commands {
-		parts[i] = cmd.String()
-	}
-	return strings.Join(parts, "\n")
 }
 
 // scriptInits lists the script's AddField initialisers. Verify has

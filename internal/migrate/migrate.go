@@ -292,9 +292,7 @@ func runCheck(check deferredCheck, opts Options) (err error) {
 // newChecker builds a verify.Checker configured by opts.
 func newChecker(s *schema.Schema, defs *equiv.Defs, opts Options) *verify.Checker {
 	c := verify.New(s, defs)
-	if opts.SolverRounds > 0 {
-		c.SolverRounds = opts.SolverRounds
-	}
+	c.SolverRounds = opts.SolverRounds
 	c.SolverConflicts = opts.SolverConflicts
 	c.Cache = cmp.Or(opts.VerdictDB, opts.Cache)
 	c.Stats = opts.Stats

@@ -137,9 +137,6 @@ func New() *Solver {
 	return &Solver{ok: true, varInc: 1.0, clauseInc: 1.0, order: newVarHeap(), maxLearnts: 4000}
 }
 
-// NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assigns) }
-
 // NewVar allocates a fresh variable.
 func (s *Solver) NewVar() Var {
 	v := Var(len(s.assigns))

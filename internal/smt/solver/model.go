@@ -55,12 +55,6 @@ func (s *Solver) buildModel(lits []tlit, tc theoryResult) *Model {
 	return m
 }
 
-// AtomVal returns the assignment of a theory atom.
-func (m *Model) AtomVal(t term.T) (bool, bool) {
-	v, ok := m.atomVal[t]
-	return v, ok
-}
-
 // Rep returns the congruence-class representative of t. Applications the
 // solver never saw directly are resolved through the congruence signature
 // table (e.g. member(i, i) when the formula asserted member(u, i) with

@@ -115,14 +115,7 @@ type Collection struct {
 	ids     []ID
 	db      *DB
 	indexes map[string]*fieldIndex
-	dropped atomic.Bool
 }
-
-// Dropped reports whether the collection has been removed from its
-// database. Callers holding a *Collection across operations (e.g. the
-// policy compiler's per-site inline caches) use this to detect staleness:
-// a dropped name re-created later yields a fresh *Collection.
-func (c *Collection) Dropped() bool { return c.dropped.Load() }
 
 // MutationOp identifies the kind of state change a Mutation records.
 type MutationOp uint8
@@ -270,8 +263,7 @@ func (db *DB) Lookup(name string) (*Collection, bool) {
 func (db *DB) DropCollection(name string) {
 	db.mu.Lock()
 	var wait WaitFunc
-	if c, ok := db.colls[name]; ok {
-		c.dropped.Store(true)
+	if _, ok := db.colls[name]; ok {
 		delete(db.colls, name)
 		wait = db.logMutation(Mutation{Op: MutDropCollection, Coll: name})
 	}

@@ -167,10 +167,6 @@ func (p *ParsedFrame) LSN() uint64 { return p.lsn }
 // Data returns the frame bytes exactly as framed on disk and on the wire.
 func (p *ParsedFrame) Data() []byte { return p.data }
 
-// IsCheckpoint reports whether the record is a compaction checkpoint (a
-// boundary marker that mutates nothing).
-func (p *ParsedFrame) IsCheckpoint() bool { return p.rec.op == opCheckpoint }
-
 // Apply replays the record into db. The database must have no durability
 // hook attached when the caller mirrors frames itself. An inserted document
 // moves into db, so apply each parsed frame once.

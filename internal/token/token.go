@@ -156,12 +156,3 @@ func (t Token) String() string {
 		return t.Kind.String()
 	}
 }
-
-// IsComparison reports whether the kind is a comparison operator.
-func (k Kind) IsComparison() bool {
-	switch k {
-	case LT, LE, GT, GE, EQ, NE:
-		return true
-	}
-	return false
-}

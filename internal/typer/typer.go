@@ -119,12 +119,6 @@ func (c *Checker) CheckInitFn(model string, fn *ast.FuncLit, fieldType ast.Type)
 	return nil
 }
 
-// CheckExpr type-checks a closed expression (no free variables beyond static
-// principals); used by tools and tests.
-func (c *Checker) CheckExpr(e ast.Expr) (ast.Type, error) {
-	return c.checkExpr(&env{vars: map[string]ast.Type{}}, e)
-}
-
 // assignable reports whether a value of type `from` can be used where `to`
 // is expected. Beyond equality, Scooter coerces: a model instance to its id;
 // instances and ids of @principal models to Principal; element-wise over

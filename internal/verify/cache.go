@@ -14,20 +14,23 @@ import (
 // DefaultCacheCapacity bounds a NewCache(0) verdict cache.
 const DefaultCacheCapacity = 4096
 
-// CacheKey identifies a strictness query up to alpha-equivalence. Two
-// queries share a key when their lowered leakage formulas are structurally
+// CacheKey identifies a strictness query up to alpha-equivalence: the
+// query is the whole of what a stored verdict answers for. Two queries
+// share a key when their lowered leakage formulas are structurally
 // identical modulo constant renaming (term.Fp), target the same principal
-// kind, mention the same string literals and static principals (Aux — kept
-// so a cached counterexample renders the same literals the query used),
-// and run under the same solver configuration.
+// kind, and mention the same string literals and static principals (Aux —
+// kept so a cached counterexample renders the same literals the query
+// used).
+//
+// No solver budget belongs in the key. Only definitive verdicts are
+// stored, and an Unsat or Sat answer — with the counterexample rendered
+// from its model — is a fact about the formula, not about the rounds,
+// conflicts or time it took to find, so a verdict proved under one budget
+// answers a run under any other.
 type CacheKey struct {
 	Fp   term.Fp
 	Aux  uint64
 	Kind string
-	// Rounds is the solver's round budget: a verdict proved under a
-	// smaller budget must not answer for a larger one (and vice versa —
-	// Inconclusive depends on the budget).
-	Rounds int
 }
 
 // Cache is the verifier's one verdict store: a concurrency-safe, bounded
@@ -98,9 +101,9 @@ func (c *Cache) Lookup(key CacheKey) (Result, bool) {
 // Insert stores res under key, evicting the least recently used entry
 // when the cache is full, and appends a new key's verdict to the backing
 // file when there is one. Inconclusive results are not admitted: which
-// budget ran out (deadline, conflicts, pivots) depends on the run, and a
-// cached Unknown would shadow a later retry under a larger budget whose
-// key matches.
+// budget ran out (rounds, conflicts, pivots, deadline) depends on the run,
+// and no budget is in the key, so a cached Unknown would shadow every
+// later retry of the query under a larger budget.
 func (c *Cache) Insert(key CacheKey, res Result) {
 	if res.Verdict == Inconclusive {
 		return
@@ -164,17 +167,17 @@ func (f *inflight) finish(key CacheKey) {
 	}
 }
 
-// LookupVerdict answers key from store (nil-safe). The lookup is counted
+// lookupVerdict answers key from store (nil-safe). The lookup is counted
 // in st (nil-safe) under the store's tier: persist when it is file-backed,
 // else cache.
 //
 // A miss makes the caller the solver of key, and it must call
-// StoreVerdict for key once it is done (defer it, so a failed or
+// storeVerdict for key once it is done (defer it, so a failed or
 // panicking proof still lets go). A lookup of a key that is being solved
 // waits for that proof and counts as a hit; if the proof ends without a
 // storable verdict (Inconclusive, an error), one waiter becomes the next
 // solver and proves the key under its own budget.
-func LookupVerdict(store *Cache, st *Stats, key CacheKey) (Result, bool) {
+func lookupVerdict(store *Cache, st *Stats, key CacheKey) (Result, bool) {
 	if store == nil {
 		return Result{}, false
 	}
@@ -200,10 +203,10 @@ func LookupVerdict(store *Cache, st *Stats, key CacheKey) (Result, bool) {
 	}
 }
 
-// StoreVerdict records res under key in store (nil-safe). A nil res, and
+// storeVerdict records res under key in store (nil-safe). A nil res, and
 // an Inconclusive one, store nothing. Either way the caller's claim on key
 // ends and proofs waiting for it resume.
-func StoreVerdict(store *Cache, key CacheKey, res *Result) {
+func storeVerdict(store *Cache, key CacheKey, res *Result) {
 	if store == nil {
 		return
 	}
@@ -213,14 +216,13 @@ func StoreVerdict(store *Cache, key CacheKey, res *Result) {
 	store.flights.finish(key)
 }
 
-// QueryKey derives the cache key for a lowered leakage query under the
-// given round budget. Beyond the formula itself, the fingerprint covers
-// the principal and instance terms and the string-literal/static
-// constants in sorted-value order: alpha-renaming canonicalises constant
-// names, so these extra roots pin each special constant's role — two
-// queries whose literals swap places hash differently, keeping retained
-// counterexamples faithful.
-func QueryKey(q *lower.Query, rounds int) CacheKey {
+// QueryKey derives the cache key for a lowered leakage query. Beyond the
+// formula itself, the fingerprint covers the principal and instance terms
+// and the string-literal/static constants in sorted-value order:
+// alpha-renaming canonicalises constant names, so these extra roots pin
+// each special constant's role — two queries whose literals swap places
+// hash differently, keeping retained counterexamples faithful.
+func QueryKey(q *lower.Query) CacheKey {
 	roots := []term.T{q.Formula, q.PrincipalTerm, q.InstanceTerm}
 	for _, lit := range sortedKeys(q.StringLits) {
 		roots = append(roots, q.StringLits[lit])
@@ -229,10 +231,9 @@ func QueryKey(q *lower.Query, rounds int) CacheKey {
 		roots = append(roots, q.Statics[st])
 	}
 	return CacheKey{
-		Fp:     q.B.Fingerprint(roots...),
-		Aux:    auxDigest(q),
-		Kind:   q.Kind.String(),
-		Rounds: rounds,
+		Fp:   q.B.Fingerprint(roots...),
+		Aux:  auxDigest(q),
+		Kind: q.Kind.String(),
 	}
 }
 

@@ -48,15 +48,51 @@ func TestCacheLookupRefreshesRecency(t *testing.T) {
 	}
 }
 
-func TestCacheKeySeparatesSolverOptions(t *testing.T) {
-	c := NewCache(8)
-	k := key(7)
-	k.Rounds = 10
-	c.Insert(k, Result{Verdict: Safe})
-	k2 := k
-	k2.Rounds = 20000
-	if _, ok := c.Lookup(k2); ok {
-		t.Error("a verdict under one round budget must not answer for another")
+// TestVerdictAnswersUnderAnyBudget: the key is the query alone, so a
+// verdict proved under the default round budget answers the same query
+// under a one-round budget from the same store, counterexample included,
+// without solving. Both queries need more than one round cold.
+func TestVerdictAnswersUnderAnyBudget(t *testing.T) {
+	s := loadSchema(t, chitterSchema)
+	store := NewCache(8)
+	for _, tc := range []struct {
+		old, new string
+		want     Verdict
+	}{
+		{`u -> User::Find({adminLevel >= 1}) + u.followers`, `u -> User::Find({adminLevel >= 2, isAdmin: true})`, Safe},
+		{`u -> User::Find({adminLevel >= 3}) + u.followers`, `u -> User::Find({adminLevel >= 2}) + User::Find({adminLevel: 2})`, Violation},
+	} {
+		pOld, pNew := policyOn(t, s, "User", tc.old), policyOn(t, s, "User", tc.new)
+		short := New(s, nil)
+		short.SolverRounds = 1
+		if res, err := short.CheckStrictness("User", pOld, pNew); err != nil || res.Verdict != Inconclusive {
+			t.Fatalf("%s => %s: cold one-round run gave (%v, %v), want Inconclusive", tc.old, tc.new, res, err)
+		}
+		full := New(s, nil)
+		full.Cache = store
+		cold, err := full.CheckStrictness("User", pOld, pNew)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold.Verdict != tc.want {
+			t.Fatalf("%s => %s: cold verdict %v, want %v", tc.old, tc.new, cold.Verdict, tc.want)
+		}
+		tight := New(s, nil)
+		tight.SolverRounds = 1
+		tight.Cache = store
+		tight.Stats = &Stats{}
+		warm, err := tight.CheckStrictness("User", pOld, pNew)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Verdict != cold.Verdict || fmt.Sprint(warm.Counterexample) != fmt.Sprint(cold.Counterexample) {
+			t.Fatalf("%s => %s: one-round run answered %v\n%v\nwant %v\n%v", tc.old, tc.new,
+				warm.Verdict, warm.Counterexample, cold.Verdict, cold.Counterexample)
+		}
+		if snap := tight.Stats.Snapshot(); snap.CacheMisses != 0 || snap.QueriesSolved != 0 {
+			t.Fatalf("%s => %s: one-round run missed %d and solved %d queries, want 0 and 0",
+				tc.old, tc.new, snap.CacheMisses, snap.QueriesSolved)
+		}
 	}
 }
 
@@ -213,20 +249,20 @@ func TestInconclusiveProofHandsKeyOn(t *testing.T) {
 	c := NewCache(8)
 	st := &Stats{}
 	k := key(1)
-	if _, ok := LookupVerdict(c, st, k); ok {
+	if _, ok := lookupVerdict(c, st, k); ok {
 		t.Fatal("hit on an empty cache")
 	}
 	second := make(chan bool)
 	go func() {
-		_, ok := LookupVerdict(c, st, k)
+		_, ok := lookupVerdict(c, st, k)
 		second <- ok
 	}()
-	StoreVerdict(c, k, &Result{Verdict: Inconclusive})
+	storeVerdict(c, k, &Result{Verdict: Inconclusive})
 	if <-second {
 		t.Fatal("a waiter was answered from an Inconclusive proof")
 	}
-	StoreVerdict(c, k, &Result{Verdict: Safe})
-	if res, ok := LookupVerdict(c, st, k); !ok || res.Verdict != Safe {
+	storeVerdict(c, k, &Result{Verdict: Safe})
+	if res, ok := lookupVerdict(c, st, k); !ok || res.Verdict != Safe {
 		t.Fatalf("after the second proof: (%v, %v), want (Safe, true)", res.Verdict, ok)
 	}
 	if snap := st.Snapshot(); snap.CacheMisses != 2 || snap.CacheHits != 1 {

@@ -27,12 +27,13 @@ import (
 // verdictMagic identifies a verdict-store file (and its format version).
 const verdictMagic = "SCVDB001"
 
-// vdbRecord is the persisted form of one (key, result) pair.
+// vdbRecord is the persisted form of one (key, result) pair. Files written
+// before the round budget left CacheKey carry a "rounds" field, which
+// decoding ignores: their verdicts answer under the new key unchanged.
 type vdbRecord struct {
-	Fp     [2]uint64 `json:"fp"`
-	Aux    uint64    `json:"aux"`
-	Kind   string    `json:"kind"`
-	Rounds int       `json:"rounds"`
+	Fp   [2]uint64 `json:"fp"`
+	Aux  uint64    `json:"aux"`
+	Kind string    `json:"kind"`
 
 	Verdict    int    `json:"v"`
 	KindModel  string `json:"km,omitempty"`
@@ -176,7 +177,6 @@ func encodeRecord(key CacheKey, res Result) ([]byte, error) {
 		Fp:         key.Fp,
 		Aux:        key.Aux,
 		Kind:       key.Kind,
-		Rounds:     key.Rounds,
 		Verdict:    int(res.Verdict),
 		KindModel:  res.Kind.Model,
 		KindStatic: res.Kind.Static,
@@ -213,7 +213,7 @@ func decodeRecord(payload []byte) (CacheKey, Result, error) {
 	if rec.Verdict != int(Safe) && rec.Verdict != int(Violation) {
 		return CacheKey{}, Result{}, fmt.Errorf("verify: persisted verdict %d out of range", rec.Verdict)
 	}
-	key := CacheKey{Fp: rec.Fp, Aux: rec.Aux, Kind: rec.Kind, Rounds: rec.Rounds}
+	key := CacheKey{Fp: rec.Fp, Aux: rec.Aux, Kind: rec.Kind}
 	res := Result{
 		Verdict:    Verdict(rec.Verdict),
 		Kind:       lower.PrincipalKind{Model: rec.KindModel, Static: rec.KindStatic},

@@ -7,10 +7,11 @@ import (
 
 	"scooter/internal/lower"
 	"scooter/internal/smt/term"
+	"scooter/internal/store/wal"
 )
 
 func pkey(n uint64) CacheKey {
-	return CacheKey{Fp: term.Fp{n, ^n}, Aux: n * 7, Kind: "User", Rounds: 100}
+	return CacheKey{Fp: term.Fp{n, ^n}, Aux: n * 7, Kind: "User"}
 }
 
 func sampleViolation() Result {
@@ -102,6 +103,39 @@ func TestVerdictDBRoundTrip(t *testing.T) {
 	safe, ok := d2.Lookup(pkey(2))
 	if !ok || safe.Verdict != Safe || !safe.Incomplete {
 		t.Fatalf("safe entry = %+v, %v", safe, ok)
+	}
+}
+
+// TestVerdictDBLoadsRoundsField: files written while CacheKey still held
+// the solver's round budget carry a "rounds" field in every record under
+// the same magic. They load, and the budget-free key answers from them.
+func TestVerdictDBLoadsRoundsField(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "verdicts.db")
+	payload := `{"fp":[3,5],"aux":7,"kind":"User","rounds":20000,"v":1,"km":"User",` +
+		`"ce":{"p":"User(1)","pr":{"Model":"User","N":1},` +
+		`"t":{"m":"User","id":"User(0)","ref":{"Model":"User","N":0},"f":[{"n":"age","v":"41","r":{"t":"i","i":41}}]}}}`
+	file := append([]byte(verdictMagic), wal.EncodeFrame([]byte(payload))...)
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenVerdictDB(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if d.Corrupt() != 0 || d.Len() != 1 {
+		t.Fatalf("loaded %d records, %d corrupt; want 1, 0", d.Len(), d.Corrupt())
+	}
+	st := &Stats{}
+	got, ok := lookupVerdict(d, st, CacheKey{Fp: term.Fp{3, 5}, Aux: 7, Kind: "User"})
+	if !ok || got.Verdict != Violation || got.Counterexample == nil {
+		t.Fatalf("lookup = (%+v, %v), want the stored violation", got, ok)
+	}
+	if raw := got.Counterexample.Target.Fields[0].Raw; raw != int64(41) {
+		t.Fatalf("age raw = %#v, want int64(41)", raw)
+	}
+	if snap := st.Snapshot(); snap.PersistHits != 1 || snap.PersistMisses != 0 {
+		t.Fatalf("persist %d hit / %d miss, want 1 / 0", snap.PersistHits, snap.PersistMisses)
 	}
 }
 

@@ -60,8 +60,8 @@ type Result struct {
 }
 
 // DefaultSolverRounds is the per-query cap on the lazy SMT loop used when
-// no explicit budget is configured (migrate.Options.SolverRounds, the
-// sidecar -solver-rounds flag).
+// Checker.SolverRounds is not positive (no migrate.Options.SolverRounds,
+// no sidecar -solver-rounds flag).
 const DefaultSolverRounds = 20000
 
 // Checker runs strictness checks against a schema. A Checker is safe for
@@ -72,7 +72,8 @@ type Checker struct {
 	Schema *schema.Schema
 	// Defs carries the prior definitions of the current migration script.
 	Defs *equiv.Defs
-	// SolverRounds caps the lazy SMT loop per query.
+	// SolverRounds caps the lazy SMT loop per query
+	// (DefaultSolverRounds when <= 0).
 	SolverRounds int
 	// SolverConflicts, when positive, caps SAT conflicts per query.
 	SolverConflicts int64
@@ -100,7 +101,7 @@ func New(s *schema.Schema, defs *equiv.Defs) *Checker {
 	if defs == nil {
 		defs = equiv.New()
 	}
-	return &Checker{Schema: s, Defs: defs, SolverRounds: DefaultSolverRounds}
+	return &Checker{Schema: s, Defs: defs}
 }
 
 // CheckStrictness proves that pNew is at least as strict as pOld for an
@@ -111,7 +112,7 @@ func (c *Checker) CheckStrictness(model string, pOld, pNew ast.Policy) (*Result,
 }
 
 // CheckEquivalence proves two policies equal (each at least as strict as
-// the other); used by tests and by the spec updater to detect no-ops.
+// the other). Only tests call it.
 func (c *Checker) CheckEquivalence(model string, p1, p2 ast.Policy) (bool, error) {
 	r1, err := c.CheckStrictness(model, p1, p2)
 	if err != nil {
@@ -157,14 +158,14 @@ func (c *Checker) checkKind(dstModel string, dstRead ast.Policy, srcModel string
 	}
 	var key CacheKey
 	if c.Cache != nil || c.Trace != nil {
-		key = QueryKey(q, c.SolverRounds)
+		key = QueryKey(q)
 	}
-	if res, ok := LookupVerdict(c.Cache, c.Stats, key); ok {
+	if res, ok := lookupVerdict(c.Cache, c.Stats, key); ok {
 		c.observeProof(key, kind, &res, true, nil, start)
 		return &res, nil
 	}
 	var res *Result
-	defer func() { StoreVerdict(c.Cache, key, res) }()
+	defer func() { storeVerdict(c.Cache, key, res) }()
 	if ex := c.Limits.Expired(); ex != nil {
 		// The budget was gone before solving started; report it without
 		// spinning up a solver.
@@ -174,6 +175,9 @@ func (c *Checker) checkKind(dstModel string, dstRead ast.Policy, srcModel string
 	}
 	s := solver.New(q.B)
 	s.MaxRounds = c.SolverRounds
+	if s.MaxRounds <= 0 {
+		s.MaxRounds = DefaultSolverRounds
+	}
 	s.MaxConflicts = c.SolverConflicts
 	s.Limits = c.Limits
 	s.Assert(q.Formula)
