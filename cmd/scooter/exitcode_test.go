@@ -92,13 +92,12 @@ func TestExitCodes(t *testing.T) {
 		{"equivcheck bad flag", []string{"equivcheck", "-nonsense"}, 2},
 		{"equivcheck missing from", []string{"equivcheck", addA, addEq}, 2},
 		{"equivcheck one script", []string{"equivcheck", "-from", spec, addA}, 2},
-		{"equivcheck online two scripts", []string{"equivcheck", "-from", spec, "-online", addA, addEq}, 2},
+		{"equivcheck removed -online flag is a usage error", []string{"equivcheck", "-from", spec, "-online", addA}, 2},
 		{"equivcheck proved", []string{"equivcheck", "-from", spec, addA, addEq}, 0},
 		{"equivcheck counterexample", []string{"equivcheck", "-from", spec, addA, addNe}, 1},
 		{"equivcheck inconclusive", []string{"equivcheck", "-from", spec, "-max-universes", "1", addA, addEq}, 3},
 		{"equivcheck parse error", []string{"equivcheck", "-from", spec, addA, badMig}, 1},
 		{"equivcheck bad spec", []string{"equivcheck", "-from", badSpec, addA, addEq}, 1},
-		{"equivcheck online proved", []string{"equivcheck", "-from", spec, "-online", addA}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -14,7 +14,6 @@
 //	scooter struct2schema  -input ./models [-o spec.scp]
 //	scooter makemigration  -from old.scp (-to new.scp | -against-structs ./models) [-compare ref.scm] [-o out.scm]
 //	scooter equivcheck     -from policy.scp a.scm b.scm
-//	scooter equivcheck     -from policy.scp -online migration.scm
 //
 // verify checks scripts without applying them. migrate verifies, then
 // rewrites the spec file to reflect the migration (creating it on first
@@ -46,11 +45,10 @@
 // extensionally equal policies (discharged by the SMT strictness checker
 // in both directions), and canonically equal stores under differential
 // replay. On failure it prints the first diverging collection/field and
-// the seeded store witnessing the divergence. With -online it takes one
-// script and proves its batched online execution plan equivalent to the
-// stop-the-world plan. -verdict-db persists the policy proofs in the same
-// store as sidecar's strictness proofs; the report itself is not stored,
-// and a re-run replays the data phase and prints the same report.
+// the seeded store witnessing the divergence. -verdict-db persists the
+// policy proofs in the same store as sidecar's strictness proofs; the
+// report itself is not stored, and a re-run replays the data phase and
+// prints the same report.
 //
 // Exit status is 0 on success (makemigration: synthesized and proved, or
 // no changes; equivcheck: proved equivalent), 1 on a violation, an
@@ -128,7 +126,6 @@ func usage(w io.Writer) {
   scooter struct2schema  -input ./models [-o spec.scp]
   scooter makemigration  -from old.scp (-to new.scp | -against-structs ./models) [-compare ref.scm] [-o out.scm]
   scooter equivcheck     -from policy.scp a.scm b.scm
-  scooter equivcheck     -from policy.scp -online migration.scm
 `)
 }
 
@@ -333,8 +330,6 @@ func cmdEquivCheck(args []string, stdout, stderr io.Writer) int {
 	bound := fs.Int("bound", equivcheck.DefaultBound, "max documents per relevant collection")
 	maxUniverses := fs.Int("max-universes", equivcheck.DefaultMaxUniverses, "cap on document universes to replay (exceeding it is inconclusive)")
 	solverRounds := fs.Int("solver-rounds", 0, "SMT budget per policy proof (0 = default)")
-	online := fs.Bool("online", false, "take one script and prove its online plan equivalent to stop-the-world")
-	batchSize := fs.Int("batch-size", migrate.DefaultBatchSize, "backfill batch size for -online")
 	verdictDB := fs.String("verdict-db", "", "persist policy proofs in this store (shared with sidecar proofs)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -343,12 +338,8 @@ func cmdEquivCheck(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "scooter: equivcheck needs -from SPEC")
 		return 2
 	}
-	want := 2
-	if *online {
-		want = 1
-	}
-	if fs.NArg() != want {
-		fmt.Fprintf(stderr, "scooter: equivcheck takes exactly %d script(s) (%d given)\n", want, fs.NArg())
+	if fs.NArg() != 2 {
+		fmt.Fprintf(stderr, "scooter: equivcheck takes exactly 2 script(s) (%d given)\n", fs.NArg())
 		return 2
 	}
 	spec, err := specfmt.Load(*from)
@@ -374,31 +365,18 @@ func cmdEquivCheck(args []string, stdout, stderr io.Writer) int {
 		opts.Cache = vdb
 	}
 
-	var rep *equivcheck.Report
-	if *online {
-		path := fs.Arg(0)
-		script, err := loadScript(path)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		rep, err = migrate.VerifyOnlineEquivalent(spec, path, script, *batchSize, opts)
-		if err != nil {
-			return fail(stderr, err)
-		}
-	} else {
-		aPath, bPath := fs.Arg(0), fs.Arg(1)
-		a, err := loadScript(aPath)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		b, err := loadScript(bPath)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		rep, err = migrate.VerifyEquivalent(spec, aPath, a, bPath, b, opts)
-		if err != nil {
-			return fail(stderr, err)
-		}
+	aPath, bPath := fs.Arg(0), fs.Arg(1)
+	a, err := loadScript(aPath)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	b, err := loadScript(bPath)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	rep, err := equivcheck.Check(spec, aPath, a, bPath, b, opts)
+	if err != nil {
+		return fail(stderr, err)
 	}
 	fmt.Fprint(stdout, rep.Format())
 	return equivExit(rep)
@@ -508,7 +486,7 @@ func cmdMakeMigration(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(stderr, err)
 		}
-		rep, err := migrate.VerifyEquivalent(fromSpec, "synthesized", candidate, *compare, ref,
+		rep, err := equivcheck.Check(fromSpec, "synthesized", candidate, *compare, ref,
 			equivcheck.Options{Bound: *bound, MaxUniverses: *maxUniverses, Cache: verify.NewCache(0)})
 		if err != nil {
 			return fail(stderr, err)

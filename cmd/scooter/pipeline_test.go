@@ -118,8 +118,7 @@ type Coupon struct {
 }
 
 // TestEquivCheckPipeline: a synthesized bootstrap proves equivalent to the
-// handwritten corpus one; an online backfill plan proves equivalent to its
-// stop-the-world script; a weakened initialiser yields a concrete
+// handwritten corpus one; a weakened initialiser yields a concrete
 // counterexample (exit 1); and a warm rerun answers from the verdict store
 // with a byte-identical report.
 func TestEquivCheckPipeline(t *testing.T) {
@@ -143,11 +142,6 @@ func TestEquivCheckPipeline(t *testing.T) {
 		t.Fatalf("struct2schema: exit %d\n%s", code, stderr)
 	}
 	nick := write("add_nick.scm", "User::AddField(nickname: String { read: public, write: none }, u -> u.name);\n")
-	code, stdout, stderr = runCLI("equivcheck", "-from", spec, "-online", nick)
-	if code != 0 || !strings.Contains(stdout, "EQUIVALENT up to bound") {
-		t.Fatalf("online plan not proved: exit %d\n%s%s", code, stdout, stderr)
-	}
-
 	bad := write("add_nick_bad.scm", "User::AddField(nickname: String { read: public, write: none }, _ -> \"\");\n")
 	vdb := filepath.Join(dir, "verdicts.db")
 	code, cold, stderr := runCLI("equivcheck", "-from", spec, "-verdict-db", vdb, nick, bad)

@@ -192,7 +192,7 @@ func TestCorpusEquivalence(t *testing.T) {
 			cur = plan.After
 
 			if swapped, ok := swapCommuting(script); ok {
-				cold, err := migrate.VerifyEquivalent(before, name, script, name+" (reordered)", swapped, opts)
+				cold, err := equivcheck.Check(before, name, script, name+" (reordered)", swapped, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -200,7 +200,7 @@ func TestCorpusEquivalence(t *testing.T) {
 					t.Fatalf("%s: commuting reorder must be equivalent, got %s\n%s",
 						name, cold.Verdict, cold.Format())
 				}
-				warm, err := migrate.VerifyEquivalent(before, name, script, name+" (reordered)", swapped, opts)
+				warm, err := equivcheck.Check(before, name, script, name+" (reordered)", swapped, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -212,7 +212,7 @@ func TestCorpusEquivalence(t *testing.T) {
 			}
 
 			if mutant, ok := mutateInit(before, script); ok {
-				rep, err := migrate.VerifyEquivalent(before, name, script, name+" (mutated)", mutant, opts)
+				rep, err := equivcheck.Check(before, name, script, name+" (mutated)", mutant, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -279,7 +279,7 @@ func BenchmarkCorpusEquivalence(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				universes = 0
 				for _, c := range checks {
-					rep, err := migrate.VerifyEquivalent(c.before, c.name, c.script,
+					rep, err := equivcheck.Check(c.before, c.name, c.script,
 						c.name+" (reordered)", c.reorder,
 						equivcheck.Options{Bound: bound, MaxUniverses: 2_000_000})
 					if err != nil {

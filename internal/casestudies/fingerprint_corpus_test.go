@@ -105,7 +105,6 @@ func TestCorpusFingerprints(t *testing.T) {
 							pp.model, pp.old.String(), pp.new.String(), kind, k1, k2)
 					}
 					sv := solver.New(q.B)
-					sv.MaxRounds = verify.DefaultSolverRounds
 					sv.Assert(q.Formula)
 					st, err := sv.Check()
 					if err != nil {

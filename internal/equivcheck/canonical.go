@@ -178,7 +178,7 @@ func universeRecords(u seededUniverse) []verify.Record {
 
 // dataCounterexample packages a data-phase divergence: the diverging
 // location under Target, the seeded universe under Others.
-func dataCounterexample(a, b Side, u seededUniverse, div *divergence, bound, idx int) *verify.Counterexample {
+func dataCounterexample(a, b side, u seededUniverse, div *divergence, bound, idx int) *verify.Counterexample {
 	loc := div.collection
 	if div.docID != "" {
 		loc += " " + div.docID
@@ -192,15 +192,15 @@ func dataCounterexample(a, b Side, u seededUniverse, div *divergence, bound, idx
 			Model: div.collection,
 			ID:    div.docID,
 			Fields: []verify.FieldValue{
-				{Name: a.Name, Value: div.va},
-				{Name: b.Name, Value: div.vb},
+				{Name: a.name, Value: div.va},
+				{Name: b.name, Value: div.vb},
 			},
 		},
 		Others: universeRecords(u),
 	}
 	if div.field != "" {
 		ce.Target.Fields = []verify.FieldValue{
-			{Name: div.field, Value: fmt.Sprintf("%s: %s != %s: %s", a.Name, div.va, b.Name, div.vb)},
+			{Name: div.field, Value: fmt.Sprintf("%s: %s != %s: %s", a.name, div.va, b.name, div.vb)},
 		}
 	}
 	return ce
@@ -208,7 +208,7 @@ func dataCounterexample(a, b Side, u seededUniverse, div *divergence, bound, idx
 
 // execCounterexample packages an execution divergence: exactly one side
 // rejected the universe.
-func execCounterexample(a, b Side, u seededUniverse, errA, errB error, bound, idx int) *verify.Counterexample {
+func execCounterexample(a, b side, u seededUniverse, errA, errB error, bound, idx int) *verify.Counterexample {
 	render := func(err error) string {
 		if err == nil {
 			return "ok"
@@ -220,8 +220,8 @@ func execCounterexample(a, b Side, u seededUniverse, errA, errB error, bound, id
 		Target: verify.Record{
 			Model: "$error",
 			Fields: []verify.FieldValue{
-				{Name: a.Name, Value: render(errA)},
-				{Name: b.Name, Value: render(errB)},
+				{Name: a.name, Value: render(errA)},
+				{Name: b.name, Value: render(errB)},
 			},
 		},
 		Others: universeRecords(u),

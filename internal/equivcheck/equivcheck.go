@@ -2,7 +2,9 @@
 // observationally equivalent up to a configurable bound — the Mediator /
 // VeriEQL line of work applied to Scooter migrations, extending Sidecar
 // from strictness-only proofs to bounded equivalence proofs (ROADMAP item
-// 4). A check has two phases:
+// 4). Check takes the two scripts, plans each with migrate.Structural and
+// runs each stop-the-world with migrate.ExecuteFromAt under one fixed
+// clock. A check has two phases:
 //
 //  1. Schema/policy phase. The final schemas must be structurally equal
 //     (statics, models, fields, types, principal flags), and every pair of
@@ -13,14 +15,14 @@
 //     migration, whose field values are not determined by any initialiser.
 //
 //  2. Data phase. Every document universe up to the bound is enumerated
-//     over the source schema, both sides execute against identically
+//     over the source schema, both scripts execute against identically
 //     seeded stores, and the resulting stores are compared canonically
 //     (collections and fields sorted, sets as sorted multisets). The first
 //     diverging collection/field, together with the seeded universe that
 //     witnesses it, becomes a concrete counterexample.
 //
 // Enumeration stays tractable through relevance reductions (documented in
-// DESIGN.md): models neither mutated by a side nor read by an initialiser
+// DESIGN.md): models neither mutated by a script nor read by an initialiser
 // are seeded empty, only fields an initialiser reads get varied value
 // domains, universes are enumerated up to document renaming, and the total
 // is capped — exceeding the cap yields Inconclusive, never a silent skip.
@@ -37,6 +39,7 @@ import (
 	"strings"
 
 	"scooter/internal/ast"
+	"scooter/internal/migrate"
 	"scooter/internal/schema"
 	"scooter/internal/store"
 	"scooter/internal/verify"
@@ -48,31 +51,55 @@ const (
 	DefaultMaxUniverses = 20000
 )
 
-// InitRef is one AddField initialiser of a side, used by the relevance
-// analysis to decide which models and fields the data phase must vary.
-// The initialiser must be type-checked (migrate.Verify does this) so field
-// references resolve.
-type InitRef struct {
-	Model string
-	Init  *ast.FuncLit
+// nowUnix is the fixed clock both scripts execute under. `now` is an
+// input of the migration, not something either script computes, so
+// equivalence is judged at a common instant.
+const nowUnix int64 = 1_000_000_000
+
+// side is one of the two scripts under comparison.
+type side struct {
+	// name labels the side in counterexamples (e.g. the script filename).
+	name string
+	// plan holds the script and its post-migration schema.
+	plan *migrate.Plan
+	// inits lists the script's AddField commands, whose initialisers the
+	// relevance analysis reads. Planning type-checked them, so field
+	// references resolve.
+	inits []*ast.AddField
+	// mutated names the models whose collections the script can change
+	// (a model may repeat). DeleteModel counts even when a later
+	// CreateModel restores the same shape: delete-then-recreate empties
+	// the collection, which is observable against a script that leaves it
+	// alone.
+	mutated []string
 }
 
-// Side is one of the two migrations under comparison: a script, or an
-// internally derived execution plan (e.g. the online backfill plan). The
-// engine never parses or verifies a side itself — the caller supplies the
-// final schema, the initialisers, the mutated model set, and an executor.
-type Side struct {
-	// Name labels the side in counterexamples (e.g. the script filename).
-	Name string
-	// After is the side's post-migration schema.
-	After *schema.Schema
-	// Inits lists the side's AddField initialisers for relevance analysis.
-	Inits []InitRef
-	// Mutated names the models whose collections the side's execution can
-	// mutate (AddField, RemoveField, and DeleteModel targets).
-	Mutated []string
-	// Exec runs the side's migration against a seeded store.
-	Exec func(db *store.DB) error
+// newSide type-checks and plans a script. Strictness verification is
+// skipped: equivalence is a property between the scripts, independent of
+// whether either passes Sidecar.
+func newSide(before *schema.Schema, name string, script *ast.MigrationScript) (side, error) {
+	plan, err := migrate.Structural(before, script)
+	if err != nil {
+		return side{}, fmt.Errorf("%s: %w", name, err)
+	}
+	sd := side{name: name, plan: plan}
+	for _, cmd := range script.Commands {
+		switch c := cmd.(type) {
+		case *ast.AddField:
+			sd.inits = append(sd.inits, c)
+			sd.mutated = append(sd.mutated, c.ModelName)
+		case *ast.RemoveField:
+			sd.mutated = append(sd.mutated, c.ModelName)
+		case *ast.DeleteModel:
+			sd.mutated = append(sd.mutated, c.ModelName)
+		}
+	}
+	return sd, nil
+}
+
+// exec runs the script stop-the-world against a seeded store.
+func (s side) exec(db *store.DB) error {
+	return migrate.ExecuteFromAt(s.plan, db, nil, migrate.JournalEntry{AppliedAt: nowUnix}, migrate.Options{}, nil, nil)
 }
 
 // Options configures a check.
@@ -85,7 +112,7 @@ type Options struct {
 	// yields Inconclusive.
 	MaxUniverses int
 	// SolverRounds is the per-policy-proof SMT budget
-	// (verify.DefaultSolverRounds when <= 0).
+	// (solver.DefaultMaxRounds when <= 0).
 	SolverRounds int
 	// Cache, when set, is the verdict store of the inner policy proofs
 	// (persisting them when it is file-backed).
@@ -154,12 +181,20 @@ func (r *Report) Format() string {
 	return sb.String()
 }
 
-// Check proves sides a and b equivalent over the source schema before, up
-// to the configured bound. It returns an error only on internal failures
-// (e.g. a side's executor failing for reasons other than rejecting a
-// universe); verdicts, counterexamples, and budget exhaustion are reported
-// in the Report.
-func Check(before *schema.Schema, a, b Side, opts Options) (*Report, error) {
+// Check proves scripts a and b (labelled aName and bName in
+// counterexamples) equivalent over the source schema before, up to the
+// configured bound. It returns an error only when a script fails to plan
+// or on internal failures; verdicts, counterexamples, and budget
+// exhaustion are reported in the Report.
+func Check(before *schema.Schema, aName string, aScript *ast.MigrationScript, bName string, bScript *ast.MigrationScript, opts Options) (*Report, error) {
+	a, err := newSide(before, aName, aScript)
+	if err != nil {
+		return nil, err
+	}
+	b, err := newSide(before, bName, bScript)
+	if err != nil {
+		return nil, err
+	}
 	bound := opts.Bound
 	if bound <= 0 {
 		bound = DefaultBound
@@ -198,7 +233,7 @@ func Check(before *schema.Schema, a, b Side, opts Options) (*Report, error) {
 	_, err = uset.each(func(u seededUniverse) (bool, error) {
 		rep.Universes++
 		dba, dbb := u.seed(), u.seed()
-		errA, errB := a.Exec(dba), b.Exec(dbb)
+		errA, errB := a.exec(dba), b.exec(dbb)
 		if errA != nil && errB != nil {
 			// Both sides reject this universe: vacuously equal outcomes.
 			idx++
@@ -226,11 +261,11 @@ func Check(before *schema.Schema, a, b Side, opts Options) (*Report, error) {
 // checkPolicies proves every corresponding policy pair extensionally equal
 // via the strictness checker in both directions. Returns done=true when the
 // verdict is decided (NotEquivalent or Inconclusive).
-func checkPolicies(a, b Side, opts Options, rep *Report) (bool, error) {
+func checkPolicies(a, b side, opts Options, rep *Report) (bool, error) {
 	// Both schemas are structurally equal at this point; a's supplies the
 	// model/principal context for lowering (policies are compared
 	// explicitly, so b's policy text never needs to live in the schema).
-	checker := verify.New(a.After, nil)
+	checker := verify.New(a.plan.After, nil)
 	checker.SolverRounds = opts.SolverRounds
 	checker.Cache = opts.Cache
 
@@ -239,8 +274,8 @@ func checkPolicies(a, b Side, opts Options, rep *Report) (bool, error) {
 		pa, pb     ast.Policy
 	}
 	var slots []slot
-	for _, name := range a.After.SortedModelNames() {
-		ma, mb := a.After.Model(name), b.After.Model(name)
+	for _, name := range a.plan.After.SortedModelNames() {
+		ma, mb := a.plan.After.Model(name), b.plan.After.Model(name)
 		slots = append(slots,
 			slot{name, name + " (create)", ma.Create, mb.Create},
 			slot{name, name + " (delete)", ma.Delete, mb.Delete})
@@ -258,7 +293,7 @@ func checkPolicies(a, b Side, opts Options, rep *Report) (bool, error) {
 		for _, dir := range []struct {
 			old, new ast.Policy
 			admitted string // side whose policy admits the witness principal
-		}{{s.pa, s.pb, b.Name}, {s.pb, s.pa, a.Name}} {
+		}{{s.pa, s.pb, b.name}, {s.pb, s.pa, a.name}} {
 			res, err := checker.CheckStrictness(s.model, dir.old, dir.new)
 			if err != nil {
 				return false, fmt.Errorf("policy proof for %s: %w", s.loc, err)
@@ -286,7 +321,7 @@ func checkPolicies(a, b Side, opts Options, rep *Report) (bool, error) {
 // diffShapes compares the two final schemas structurally (everything but
 // policy bodies). A mismatch is a definitive inequivalence: the migrations
 // do not even agree on the resulting specification's shape.
-func diffShapes(a, b Side) *verify.Counterexample {
+func diffShapes(a, b side) *verify.Counterexample {
 	mismatch := func(where, va, vb string) *verify.Counterexample {
 		return &verify.Counterexample{
 			Principal: "final schemas differ at " + where,
@@ -294,24 +329,24 @@ func diffShapes(a, b Side) *verify.Counterexample {
 				Model: "$schema",
 				ID:    where,
 				Fields: []verify.FieldValue{
-					{Name: a.Name, Value: va},
-					{Name: b.Name, Value: vb},
+					{Name: a.name, Value: va},
+					{Name: b.name, Value: vb},
 				},
 			},
 		}
 	}
-	sa, sb := append([]string(nil), a.After.Statics...), append([]string(nil), b.After.Statics...)
+	sa, sb := append([]string(nil), a.plan.After.Statics...), append([]string(nil), b.plan.After.Statics...)
 	sort.Strings(sa)
 	sort.Strings(sb)
 	if strings.Join(sa, ",") != strings.Join(sb, ",") {
 		return mismatch("static principals", strings.Join(sa, ", "), strings.Join(sb, ", "))
 	}
-	na, nb := a.After.SortedModelNames(), b.After.SortedModelNames()
+	na, nb := a.plan.After.SortedModelNames(), b.plan.After.SortedModelNames()
 	if strings.Join(na, ",") != strings.Join(nb, ",") {
 		return mismatch("models", strings.Join(na, ", "), strings.Join(nb, ", "))
 	}
 	for _, name := range na {
-		ma, mb := a.After.Model(name), b.After.Model(name)
+		ma, mb := a.plan.After.Model(name), b.plan.After.Model(name)
 		if ma.Principal != mb.Principal {
 			return mismatch(name+" @principal", fmt.Sprintf("%t", ma.Principal), fmt.Sprintf("%t", mb.Principal))
 		}

@@ -2,6 +2,7 @@ package equivcheck
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"scooter/internal/ast"
@@ -61,29 +62,29 @@ type seededUniverse struct {
 }
 
 // buildUniverses computes the relevance reductions and value domains.
-func buildUniverses(before *schema.Schema, a, b Side, bound int) (*universeSet, error) {
+func buildUniverses(before *schema.Schema, a, b side, bound int) (*universeSet, error) {
 	relevantModels := map[string]bool{}
 	markModel := func(name string) {
 		if before.Model(name) != nil {
 			relevantModels[name] = true
 		}
 	}
-	for _, s := range []*Side{&a, &b} {
-		for _, m := range s.Mutated {
+	for _, s := range []*side{&a, &b} {
+		for _, m := range s.mutated {
 			markModel(m)
 		}
-		for _, ir := range s.Inits {
-			markModel(ir.Model)
-			for m := range ast.ReferencedModels(ir.Init.Body) {
+		for _, af := range s.inits {
+			markModel(af.ModelName)
+			for m := range ast.ReferencedModels(af.Init.Body) {
 				markModel(m)
 			}
 		}
 	}
 
 	relevantFields := map[ast.FieldRef]bool{}
-	for _, s := range []*Side{&a, &b} {
-		for _, ir := range s.Inits {
-			for ref := range ast.ReferencedFields(ir.Init.Body) {
+	for _, s := range []*side{&a, &b} {
+		for _, af := range s.inits {
+			for ref := range ast.ReferencedFields(af.Init.Body) {
 				if m := before.Model(ref.Model); m != nil && m.Field(ref.Field) != nil {
 					relevantFields[ref] = true
 				}
@@ -169,11 +170,11 @@ func multisets(n, c int) [][]int {
 // mineLiterals collects the integer, string, and datetime literals
 // appearing in either side's initialisers: boundary values the initialiser
 // branches on, so the domains should straddle them.
-func mineLiterals(a, b Side) (ints []int64, strs []string, dts []int64) {
+func mineLiterals(a, b side) (ints []int64, strs []string, dts []int64) {
 	seenI, seenS, seenD := map[int64]bool{}, map[string]bool{}, map[int64]bool{}
-	for _, s := range []*Side{&a, &b} {
-		for _, ir := range s.Inits {
-			ast.Walk(ir.Init.Body, func(e ast.Expr) bool {
+	for _, s := range []*side{&a, &b} {
+		for _, af := range s.inits {
+			ast.Walk(af.Init.Body, func(e ast.Expr) bool {
 				switch lit := e.(type) {
 				case *ast.IntLit:
 					seenI[lit.Value] = true
@@ -244,9 +245,14 @@ func defaultValue(t ast.Type, relevant map[string]bool, names []string, bound in
 	}
 }
 
+// edgeInts are the machine-integer values every varied I64 and DateTime
+// domain includes: the ends where arithmetic wraps, -1, and ±2^53, past
+// which float64 no longer holds every integer.
+var edgeInts = []store.Value{int64(math.MinInt64), int64(-1 << 53), int64(-1), int64(1 << 53), int64(math.MaxInt64)}
+
 // domainValues is the varied domain of a relevant field: enough values to
 // exercise every branch shape an initialiser can take at this bound, plus
-// the literals it mentions.
+// the literals it mentions and, for integers, edgeInts.
 func domainValues(t ast.Type, relevant map[string]bool, names []string, bound int, ints []int64, strs []string, dts []int64) []store.Value {
 	uniq := func(vals []store.Value) []store.Value {
 		var out []store.Value
@@ -268,13 +274,13 @@ func domainValues(t ast.Type, relevant map[string]bool, names []string, bound in
 		for _, v := range ints {
 			vals = append(vals, v, v+1)
 		}
-		return uniq(vals)
+		return uniq(append(vals, edgeInts...))
 	case ast.TDateTime:
 		vals := []store.Value{int64(0), int64(1)}
 		for _, v := range dts {
 			vals = append(vals, v, v+1)
 		}
-		return uniq(vals)
+		return uniq(append(vals, edgeInts...))
 	case ast.TF64:
 		return []store.Value{0.0, 1.0}
 	case ast.TString:

@@ -1,4 +1,7 @@
-package migrate
+// The equivalence tests of migrate-planned scripts live here, in the
+// external test package: equivcheck imports migrate, so package migrate
+// itself cannot import equivcheck.
+package migrate_test
 
 import (
 	"path/filepath"
@@ -56,7 +59,7 @@ Team::AddField(slug: String { read: public, write: none }, _ -> "t");
 Team::AddField(slug: String { read: public, write: none }, _ -> "t");
 User::AddField(level: I64 { read: public, write: none }, u -> if u.isAdmin then 2 else 0);
 `)
-	rep, err := VerifyEquivalent(s, "a.scm", a, "b.scm", b, equivcheck.Options{})
+	rep, err := equivcheck.Check(s, "a.scm", a, "b.scm", b, equivcheck.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +77,7 @@ func TestVerifyEquivalentDistinctInitsSameFunction(t *testing.T) {
 	s := equivSchema(t)
 	a := mig(t, `User::AddField(level: I64 { read: public, write: none }, u -> if u.isAdmin then 1 else 1);`)
 	b := mig(t, `User::AddField(level: I64 { read: public, write: none }, _ -> 1);`)
-	rep, err := VerifyEquivalent(s, "a.scm", a, "b.scm", b, equivcheck.Options{})
+	rep, err := equivcheck.Check(s, "a.scm", a, "b.scm", b, equivcheck.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +90,7 @@ func TestVerifyEquivalentCounterexample(t *testing.T) {
 	s := equivSchema(t)
 	a := mig(t, `User::AddField(level: I64 { read: public, write: none }, u -> if u.isAdmin then 2 else 0);`)
 	b := mig(t, `User::AddField(level: I64 { read: public, write: none }, _ -> 0);`)
-	rep, err := VerifyEquivalent(s, "a.scm", a, "b.scm", b, equivcheck.Options{})
+	rep, err := equivcheck.Check(s, "a.scm", a, "b.scm", b, equivcheck.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +126,7 @@ CreateModel(Team {
 `)
 	b := mig(t, `User::AddField(scratch: I64 { read: public, write: none }, _ -> 0);
 User::RemoveField(scratch);`)
-	rep, err := VerifyEquivalent(s, "a.scm", a, "b.scm", b, equivcheck.Options{})
+	rep, err := equivcheck.Check(s, "a.scm", a, "b.scm", b, equivcheck.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +141,7 @@ func TestVerifyEquivalentPolicyProof(t *testing.T) {
 	s := equivSchema(t)
 	a := mig(t, `Team::UpdateFieldPolicy(title, {write: none});`)
 	b := mig(t, `Team::UpdateFieldPolicy(title, {write: _ -> []});`)
-	rep, err := VerifyEquivalent(s, "a.scm", a, "b.scm", b, equivcheck.Options{})
+	rep, err := equivcheck.Check(s, "a.scm", a, "b.scm", b, equivcheck.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +157,7 @@ func TestVerifyEquivalentPolicyDivergence(t *testing.T) {
 	s := equivSchema(t)
 	a := mig(t, `Team::UpdateFieldPolicy(title, {write: none});`)
 	b := mig(t, `Team::UpdateFieldPolicy(title, {read: public});`)
-	rep, err := VerifyEquivalent(s, "a.scm", a, "b.scm", b, equivcheck.Options{})
+	rep, err := equivcheck.Check(s, "a.scm", a, "b.scm", b, equivcheck.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +173,7 @@ func TestVerifyEquivalentInconclusive(t *testing.T) {
 	s := equivSchema(t)
 	a := mig(t, `User::AddField(level: I64 { read: public, write: none }, u -> if u.isAdmin then 2 else 0);`)
 	b := mig(t, `User::AddField(level: I64 { read: public, write: none }, u -> if u.isAdmin then 2 else 0);`)
-	rep, err := VerifyEquivalent(s, "a.scm", a, "b.scm", b, equivcheck.Options{MaxUniverses: 1})
+	rep, err := equivcheck.Check(s, "a.scm", a, "b.scm", b, equivcheck.Options{MaxUniverses: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +196,11 @@ func TestVerifyEquivalentCaching(t *testing.T) {
 	}
 	opts := equivcheck.Options{Cache: vdb}
 
-	cold, err := VerifyEquivalent(s, "a.scm", mig(t, aSrc), "b.scm", mig(t, bSrc), opts)
+	cold, err := equivcheck.Check(s, "a.scm", mig(t, aSrc), "b.scm", mig(t, bSrc), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := VerifyEquivalent(s, "a.scm", mig(t, aSrc), "b.scm", mig(t, bSrc), opts)
+	warm, err := equivcheck.Check(s, "a.scm", mig(t, aSrc), "b.scm", mig(t, bSrc), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,26 +218,11 @@ func TestVerifyEquivalentCaching(t *testing.T) {
 	}
 	defer vdb2.Close()
 	opts2 := equivcheck.Options{Cache: vdb2}
-	persisted, err := VerifyEquivalent(s, "a.scm", mig(t, aSrc), "b.scm", mig(t, bSrc), opts2)
+	persisted, err := equivcheck.Check(s, "a.scm", mig(t, aSrc), "b.scm", mig(t, bSrc), opts2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if persisted.Format() != cold.Format() {
 		t.Fatalf("persisted replay must be byte-identical:\ncold:\n%s\npersisted:\n%s", cold.Format(), persisted.Format())
-	}
-}
-
-func TestVerifyOnlineEquivalent(t *testing.T) {
-	s := equivSchema(t)
-	script := mig(t, `User::AddField(level: I64 { read: public, write: none }, u -> if u.isAdmin then 2 else 0);`)
-	rep, err := VerifyOnlineEquivalent(s, "add_level.scm", script, 1, equivcheck.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Verdict != equivcheck.Equivalent {
-		t.Fatalf("online plan must be equivalent to stop-the-world, got %s\n%s", rep.Verdict, rep.Format())
-	}
-	if rep.Universes == 0 {
-		t.Fatal("plan-level check must replay universes")
 	}
 }

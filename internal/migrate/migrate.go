@@ -32,7 +32,7 @@ type Options struct {
 	// default via DefaultOptions.
 	TrackEquivalences bool
 	// SolverRounds overrides the per-query SMT round budget
-	// (verify.DefaultSolverRounds when 0).
+	// (solver.DefaultMaxRounds when 0).
 	SolverRounds int
 	// Cache, when set, is the verdict store strictness proofs share, so a
 	// whole migration history (or a CI fleet replaying many histories)

@@ -55,7 +55,7 @@ type Solver struct {
 
 	asserted []term.T
 
-	// MaxRounds caps the lazy refinement loop.
+	// MaxRounds caps the lazy refinement loop (DefaultMaxRounds from New).
 	MaxRounds int
 
 	// MaxConflicts, when positive, caps the SAT core's total conflicts per
@@ -80,9 +80,14 @@ type Solver struct {
 	TheoryChecks int
 }
 
+// DefaultMaxRounds is the refinement-round cap New sets: the per-query
+// budget of every proof whose caller does not choose one (no
+// migrate.Options.SolverRounds, no sidecar -solver-rounds flag).
+const DefaultMaxRounds = 20000
+
 // New returns a solver over the builder's terms.
 func New(b *term.Builder) *Solver {
-	return &Solver{B: b, MaxRounds: 20000}
+	return &Solver{B: b, MaxRounds: DefaultMaxRounds}
 }
 
 // Assert conjoins t to the formula to be checked.

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"scooter/internal/equivcheck"
-	"scooter/internal/migrate"
 	"scooter/internal/parser"
 	"scooter/internal/schema"
 	"scooter/internal/typer"
@@ -75,7 +74,7 @@ User::AddField(karma: I64 { read: public, write: none }, _ -> 1 - 1);
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := migrate.VerifyEquivalent(from, "synthesized", candidate, "handwritten", handwritten, equivcheck.Options{})
+	rep, err := equivcheck.Check(from, "synthesized", candidate, "handwritten", handwritten, equivcheck.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +94,7 @@ User::AddField(karma: I64 { read: public, write: none }, _ -> 7);
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err = migrate.VerifyEquivalent(from, "synthesized", candidate, "diverging", diverging, equivcheck.Options{})
+	rep, err = equivcheck.Check(from, "synthesized", candidate, "diverging", diverging, equivcheck.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,6 +213,11 @@ func decodeRecord(payload []byte) (CacheKey, Result, error) {
 	if rec.Verdict != int(Safe) && rec.Verdict != int(Violation) {
 		return CacheKey{}, Result{}, fmt.Errorf("verify: persisted verdict %d out of range", rec.Verdict)
 	}
+	if rec.KindModel != "" && rec.KindStatic != "" {
+		// A principal kind names a model or a static, never both. Only the
+		// retired whole-check equivalence reports packed counts into both.
+		return CacheKey{}, Result{}, fmt.Errorf("verify: persisted principal kind names model %q and static %q", rec.KindModel, rec.KindStatic)
+	}
 	key := CacheKey{Fp: rec.Fp, Aux: rec.Aux, Kind: rec.Kind}
 	res := Result{
 		Verdict:    Verdict(rec.Verdict),

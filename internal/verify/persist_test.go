@@ -139,6 +139,41 @@ func TestVerdictDBLoadsRoundsField(t *testing.T) {
 	}
 }
 
+// TestVerdictDBSkipsEquivRecords: files written while equivcheck stored
+// its whole-check reports hold records whose principal kind packs a
+// universe count into the model and a proof count into the static. They
+// are skipped as corrupt, take no LRU capacity, and the file stays usable.
+func TestVerdictDBSkipsEquivRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "verdicts.db")
+	payload := `{"fp":[9,4],"aux":2,"kind":"equiv","v":0,"km":"u21","ks":"p0"}`
+	file := append([]byte(verdictMagic), wal.EncodeFrame([]byte(payload))...)
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenVerdictDB(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Len() != 0 || d.Corrupt() != 1 {
+		t.Fatalf("loaded %d records, %d corrupt; want 0, 1", d.Len(), d.Corrupt())
+	}
+	d.Put(pkey(1), sampleViolation())
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := OpenVerdictDB(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if d2.Len() != 1 || d2.Corrupt() != 1 {
+		t.Fatalf("reopened: %d records, %d corrupt; want 1, 1", d2.Len(), d2.Corrupt())
+	}
+	if got, ok := d2.Lookup(pkey(1)); !ok || got.Verdict != Violation {
+		t.Fatalf("appended verdict = (%+v, %v), want the violation", got, ok)
+	}
+}
+
 func TestVerdictDBRejectsInconclusive(t *testing.T) {
 	d, err := OpenVerdictDB(filepath.Join(t.TempDir(), "v.db"))
 	if err != nil {

@@ -59,11 +59,6 @@ type Result struct {
 	Why *limits.Exhausted
 }
 
-// DefaultSolverRounds is the per-query cap on the lazy SMT loop used when
-// Checker.SolverRounds is not positive (no migrate.Options.SolverRounds,
-// no sidecar -solver-rounds flag).
-const DefaultSolverRounds = 20000
-
 // Checker runs strictness checks against a schema. A Checker is safe for
 // concurrent use as long as Schema and Defs are not mutated while checks
 // run: per-query state lives in a fresh lowering context and solver, the
@@ -73,7 +68,7 @@ type Checker struct {
 	// Defs carries the prior definitions of the current migration script.
 	Defs *equiv.Defs
 	// SolverRounds caps the lazy SMT loop per query
-	// (DefaultSolverRounds when <= 0).
+	// (solver.DefaultMaxRounds when <= 0).
 	SolverRounds int
 	// SolverConflicts, when positive, caps SAT conflicts per query.
 	SolverConflicts int64
@@ -174,9 +169,8 @@ func (c *Checker) checkKind(dstModel string, dstRead ast.Policy, srcModel string
 		return res, nil
 	}
 	s := solver.New(q.B)
-	s.MaxRounds = c.SolverRounds
-	if s.MaxRounds <= 0 {
-		s.MaxRounds = DefaultSolverRounds
+	if c.SolverRounds > 0 {
+		s.MaxRounds = c.SolverRounds
 	}
 	s.MaxConflicts = c.SolverConflicts
 	s.Limits = c.Limits
